@@ -18,14 +18,21 @@ from .model import (
     compute_affinity,
     matching_matrix,
 )
-from .sinkhorn import OtInstance, SinkhornResult, entropy, extend_with_slack, ot_value, solve_ot
+from .sinkhorn import (
+    OtInstance,
+    SinkhornResult,
+    cross_entropy_loss,
+    entropy,
+    extend_with_slack,
+    ot_value,
+    solve_ot,
+)
 from .training import (
     AdamState,
     EpochRecord,
     TrainConfig,
     TrainResult,
     adam_step,
-    cross_entropy_loss,
     loss_gradient_items,
     loss_gradient_users,
     matching_with_slack,

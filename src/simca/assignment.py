@@ -1,19 +1,22 @@
 """Exact capacity-constrained linear assignment.
 
 Each item j absorbs at most caps[j] users; the solver maximizes the total
-score of a hard user->item matching. Items are expanded into caps[j]
-unit-capacity slots, turning the problem into a rectangular n x s(caps)
-assignment solved by shortest augmenting paths. Slots are ordered by item
-index, so tie-breaking is deterministic and, on fully tied inputs, yields the
-lexicographically smallest assignment vector.
+score of a hard user->item matching. This is a transportation problem with
+n unit-supply users and m items, solved as a min-cost flow over the items:
+every user starts on its best item, and successive shortest paths with m
+item prices move the excess of over-full items to items with free capacity.
+Memory is O(n*m) and time O(n*m*log n + excess*m^2*log n), where the excess
+is the number of users the row argmax puts over capacity. Ties are broken
+deterministically; on fully tied inputs the result is the lexicographically
+smallest assignment vector, as for the brute-force oracle.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import as_matrix
 
@@ -50,17 +53,97 @@ def solve_lap(scores, caps) -> LapSolution:
     """Maximize sum_i scores[i, sigma(i)] over matchings with per-item counts <= caps.
 
     When total capacity equals the number of users every capacity is used
-    exactly; otherwise the surplus slots stay empty. Optimality is exact.
+    exactly; otherwise the surplus capacity stays empty. Optimality is exact.
     """
     M, caps = _check_instance(scores, caps)
     n = M.shape[0]
-    slot_item = np.repeat(np.arange(len(caps)), caps)
-    # maximization via negated costs on the slot-expanded rectangle
-    rows, cols = linear_sum_assignment(-M[:, slot_item])
-    assign = np.empty(n, dtype=np.int64)
-    assign[rows] = slot_item[cols]
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=len(caps))
+    if np.any(counts > caps):
+        assign = _drain_excess(M, caps.tolist(), assign, counts.tolist())
     objective = float(M[np.arange(n), assign].sum())
     return LapSolution(matching=assign, objective=objective)
+
+
+def _drain_excess(M, caps, assign, counts) -> np.ndarray:
+    """Successive shortest paths over the items, from the row-argmax start.
+
+    Every user sits on an item maximizing M[u, j] - prices[j]. Moving user u
+    from j to k then has nonnegative reduced cost
+    (M[u, j] - M[u, k]) - prices[j] + prices[k], and heap (j, k) keeps the
+    users of j ordered by the price-free part. Each round runs Dijkstra from
+    all over-full items at once, moves one user along every edge of the path
+    to the nearest item with free capacity, and raises the prices of the
+    items settled before it. Items with free capacity keep price 0, so
+    complementary slackness holds and the final matching is optimal.
+
+    Ties keep the lexicographic rule of the brute-force oracle on fully tied
+    scores: a heap moves its highest user up to a larger item and its lowest
+    user down to a smaller one, Dijkstra settles the lowest item first, and
+    an equal-length path through a later-settled item wins, so excess
+    cascades through consecutive items.
+    """
+    m = len(caps)
+    where = assign.tolist()
+    heaps = [[[] for _ in range(m)] for _ in range(m)]
+    for j in range(m):
+        users = np.flatnonzero(assign == j)
+        for k in range(m):
+            if k != j:
+                keys = M[users, j] - M[users, k]
+                ties = -users if k > j else users
+                order = np.lexsort((ties, keys))
+                # a sorted list is already a heap
+                heaps[j][k] = list(zip(keys[order].tolist(), ties[order].tolist(),
+                                       users[order].tolist()))
+
+    def cheapest(j, k):
+        heap = heaps[j][k]
+        while where[heap[0][2]] != j:
+            heapq.heappop(heap)  # stale: the user has moved on
+        return heap[0][0]
+
+    prices = [0.0] * m
+    while True:
+        dist = [0.0 if counts[j] > caps[j] else math.inf for j in range(m)]
+        if min(dist) > 0.0:
+            break  # no item over capacity
+        pred = [-1] * m
+        unsettled = list(range(m))
+        settled = []
+        while True:
+            j = min(unsettled, key=dist.__getitem__)
+            unsettled.remove(j)
+            settled.append(j)
+            if counts[j] < caps[j]:
+                break
+            if counts[j] == 0:
+                continue  # a zero-capacity item has no users to pass on
+            for k in unsettled:
+                if counts[k] > caps[k]:
+                    continue
+                d = dist[j] + cheapest(j, k) - prices[j] + prices[k]
+                if d <= dist[k]:
+                    dist[k] = d
+                    pred[k] = j
+        target = j
+        for k in settled:
+            prices[k] += dist[target] - dist[k]
+        moves = []
+        k = target
+        while pred[k] >= 0:
+            j = pred[k]
+            moves.append((heapq.heappop(heaps[j][k])[2], k))
+            k = j
+        counts[k] -= 1
+        counts[target] += 1
+        for u, dest in moves:
+            where[u] = dest
+            row = M[u].tolist()
+            for k in range(m):
+                if k != dest:
+                    heapq.heappush(heaps[dest][k], (row[dest] - row[k], -u if k > dest else u, u))
+    return np.array(where, dtype=np.int64)
 
 
 def count_feasible_matchings(n: int, caps) -> int:

@@ -5,8 +5,10 @@ with every cluster owning at least one item. Geographic positions are drawn
 uniformly on a circle; the user-item distance matrix is the arc length
 between positions, normalized by its grand mean. Capacities are Dirichlet
 proportions of the user count, rounded by largest remainder, plus a fixed
-number of extra spots per item. The ground-truth matching is the exact LAP
-optimum of the resulting affinity matrix.
+number of extra spots per item. The ground-truth matching is the exact
+capacity-constrained optimum of the resulting affinity matrix, from the
+n x m transportation solver in ``simca.assignment``; it needs O(n*m) memory,
+so generation scales to n = 10^4 users and beyond.
 
 All draws come from one seeded generator per operation in a fixed order, so
 a seed pins the dataset bytes exactly.

@@ -7,7 +7,7 @@ import numpy as np
 
 from .assignment import round_coupling
 from .model import AffinityParams, Dataset, as_matrix, compute_affinity
-from .sinkhorn import extend_with_slack, solve_ot
+from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
 
 def f1_scores(truth, pred, m: int) -> tuple[float, float, np.ndarray]:
@@ -22,16 +22,14 @@ def f1_scores(truth, pred, m: int) -> tuple[float, float, np.ndarray]:
     pred = np.asarray(pred, dtype=np.int64)
     if truth.shape != pred.shape:
         raise ValueError(f"matchings differ in length: {truth.shape} vs {pred.shape}")
-    per_item = np.empty(m)
-    for j in range(m):
-        tp = int(np.sum((truth == j) & (pred == j)))
-        fp = int(np.sum((truth != j) & (pred == j)))
-        fn = int(np.sum((truth == j) & (pred != j)))
-        if tp == 0 and fp == 0 and fn == 0:
-            per_item[j] = 1.0
-        else:
-            per_item[j] = 2.0 * tp / (2.0 * tp + fp + fn)
-    micro = float(np.mean(truth == pred)) if len(truth) else 1.0
+    hit = truth == pred
+    tp = np.bincount(truth[hit], minlength=m)[:m]
+    # 2 tp + fp + fn: every true and every predicted user of the item
+    support = np.bincount(truth, minlength=m)[:m] + np.bincount(pred, minlength=m)[:m]
+    per_item = np.ones(m)
+    seen = support > 0
+    per_item[seen] = 2.0 * tp[seen] / support[seen]
+    micro = float(np.mean(hit)) if len(truth) else 1.0
     return micro, float(per_item.mean()), per_item
 
 
@@ -81,8 +79,6 @@ def evaluate(
     the coupling to a hard matching via the LAP, and compares it to the
     dataset's observed matching.
     """
-    from .training import cross_entropy_loss  # local import to avoid a cycle
-
     users = dataset.users if users_eval is None else as_matrix(users_eval, "users_eval")
     affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)

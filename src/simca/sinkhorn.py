@@ -13,7 +13,8 @@ for small epsilon.
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
 restores equality marginals without perturbing gradients in the item
-embeddings.
+embeddings. ``cross_entropy_loss`` scores a coupling against an observed
+hard matching; training and evaluation both use it.
 """
 from __future__ import annotations
 
@@ -179,3 +180,19 @@ def ot_value(affinity, pi, epsilon: float) -> float:
     if arr.shape != M.shape:
         raise ValueError(f"coupling shape {arr.shape} does not match affinity {M.shape}")
     return float(np.sum(arr * M)) + epsilon * entropy(arr)
+
+
+def cross_entropy_loss(assign, coupling) -> float:
+    """-sum_i log coupling[i, assign[i]] over the real users.
+
+    Accepts a coupling carrying one extra slack row; that row is ignored.
+    """
+    assign = np.asarray(assign, dtype=np.int64)
+    pi = np.asarray(coupling, dtype=np.float64)
+    n = len(assign)
+    if pi.shape[0] not in (n, n + 1):
+        raise ValueError(f"coupling has {pi.shape[0]} rows for {n} users")
+    matched = pi[np.arange(n), assign]
+    if np.any(matched <= 0):
+        raise ValueError("coupling vanishes on a matched pair")
+    return float(-np.log(matched).sum())

@@ -23,7 +23,7 @@ import numpy as np
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
 from .model import Dataset, as_matrix, compute_affinity, matching_matrix
-from .sinkhorn import extend_with_slack, solve_ot
+from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
 INIT_SCHEMES = ("unit-sphere-random", "gaussian")
 
@@ -103,22 +103,6 @@ def adam_step(
     v_hat = v / (1 - beta2**t)
     new_params = params - lr * m_hat / (np.sqrt(v_hat) + adam_eps)
     return new_params, AdamState(first_moment=m, second_moment=v, step=t)
-
-
-def cross_entropy_loss(assign, coupling) -> float:
-    """-sum_i log coupling[i, assign[i]] over the real users.
-
-    Accepts a coupling carrying one extra slack row; that row is ignored.
-    """
-    assign = np.asarray(assign, dtype=np.int64)
-    pi = np.asarray(coupling, dtype=np.float64)
-    n = len(assign)
-    if pi.shape[0] not in (n, n + 1):
-        raise ValueError(f"coupling has {pi.shape[0]} rows for {n} users")
-    matched = pi[np.arange(n), assign]
-    if np.any(matched <= 0):
-        raise ValueError("coupling vanishes on a matched pair")
-    return float(-np.log(matched).sum())
 
 
 def matching_with_slack(assign, caps) -> np.ndarray:

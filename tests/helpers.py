@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from simca.model import compute_affinity
 from simca.sinkhorn import extend_with_slack, solve_ot
@@ -35,6 +36,19 @@ def greedy_matching(scores, caps):
         out[i] = j
         remaining[j] -= 1
     return out
+
+
+def slot_expanded_lap(scores, caps):
+    """Independent capacity LAP: every item j expands into caps[j] unit slots,
+    and the dense n x sum(caps) rectangle goes to ``linear_sum_assignment``.
+    Slots are ordered by item, so ties resolve deterministically. Memory is
+    O(n * sum(caps)); mid-size instances only."""
+    M = np.asarray(scores, dtype=np.float64)
+    slot_item = np.repeat(np.arange(len(caps)), caps)
+    rows, cols = linear_sum_assignment(-M[:, slot_item])
+    assign = np.empty(M.shape[0], dtype=np.int64)
+    assign[rows] = slot_item[cols]
+    return assign
 
 
 def converged_coupling(affinity, caps, epsilon, tol=1e-12):

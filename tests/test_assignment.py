@@ -1,12 +1,20 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import slot_expanded_lap
 from simca.assignment import (
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
     solve_lap,
 )
+from simca.datagen import GenConfig, generate_dataset
+from simca.model import compute_affinity
 from simca.sinkhorn import extend_with_slack, solve_ot
 
 
@@ -156,3 +164,76 @@ def test_small_epsilon_rounding_recovers_exact_optimum():
         assert np.array_equal(
             round_coupling(result.user_coupling, caps), best.matching
         )
+
+
+def _sinkhorn_coupling(ds, seed, iterations=10):
+    # the coupling an early training epoch rounds: random items, 10 iterations
+    items = np.random.default_rng(seed).normal(size=ds.items_truth.shape)
+    affinity = compute_affinity(ds.users, items, ds.distances, ds.alpha)
+    inst = extend_with_slack(affinity, ds.capacities, 0.1)
+    return solve_ot(inst, iterations=iterations).user_coupling
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_matches_slot_expanded_oracle_on_generated_data(n):
+    ds = generate_dataset(GenConfig(n=n, seed=n))
+    affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
+    expected = slot_expanded_lap(affinity, ds.capacities)
+    assert solve_lap(affinity, ds.capacities).matching.tobytes() == expected.tobytes()
+    assert ds.matching.tobytes() == expected.tobytes()
+    for seed in range(3):
+        pi = _sinkhorn_coupling(ds, seed)
+        expected = slot_expanded_lap(pi, ds.capacities)
+        assert round_coupling(pi, ds.capacities).tobytes() == expected.tobytes()
+
+
+@st.composite
+def tied_instances(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    caps = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+    while caps.sum() < n:
+        caps[draw(st.integers(0, m - 1))] += 1
+    if draw(st.booleans()):
+        caps[draw(st.integers(0, m - 1))] += draw(st.integers(1, 2))  # slack
+    values = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+    return np.array(values, dtype=np.float64).reshape(n, m), caps
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_instances())
+def test_integer_tied_scores_match_brute_force(instance):
+    M, caps = instance
+    n, m = M.shape
+    fast = solve_lap(M, caps)
+    slow = brute_force_lap(M, caps)
+    assert fast.objective == slow.objective
+    counts = np.bincount(fast.matching, minlength=m)
+    assert np.all(counts <= caps)
+    if caps.sum() == n:
+        assert np.array_equal(counts, caps)
+
+
+def test_fully_tied_unequal_caps_give_lexicographic_smallest():
+    for caps in itertools.product(range(4), repeat=3):
+        caps = np.array(caps)
+        for n in range(1, int(caps.sum()) + 1):
+            M = np.full((n, 3), 0.25)
+            expected = brute_force_lap(M, caps).matching
+            assert np.array_equal(solve_lap(M, caps).matching, expected), (caps, n)
+    # the cascade through every item, spelled out
+    assert np.array_equal(solve_lap(np.zeros((6, 3)), [1, 2, 3]).matching, [0, 1, 1, 2, 2, 2])
+    assert np.array_equal(solve_lap(np.zeros((4, 3)), [3, 1, 2]).matching, [0, 0, 0, 1])
+
+
+def test_ten_thousand_users_round_in_memory_and_time():
+    # slot expansion needs a dense 10^4 x 10^4 matrix here; the transport
+    # solver stays O(n * m)
+    start = time.perf_counter()
+    ds = generate_dataset(GenConfig(n=10_000, m=3, seed=0))
+    predicted = round_coupling(_sinkhorn_coupling(ds, 0), ds.capacities)
+    elapsed = time.perf_counter() - start
+    assert predicted.shape == (10_000,)
+    assert np.all(np.bincount(predicted, minlength=3) <= ds.capacities)
+    assert np.all(np.bincount(ds.matching, minlength=3) <= ds.capacities)
+    assert elapsed < 10.0
