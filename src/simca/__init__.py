@@ -9,15 +9,7 @@ a synthetic benchmark generator and an experiment CLI.
 from .assignment import LapSolution, brute_force_lap, count_feasible_matchings, round_coupling, solve_lap
 from .datagen import GenConfig, apply_gaussian_noise, apply_swap_noise, generate_dataset, sample_capacities
 from .metrics import EvalReport, evaluate, f1_scores, mean_embedding_distance
-from .model import (
-    AffinityParams,
-    Dataset,
-    affinity_grad_item,
-    affinity_grad_user,
-    check_affinity_linearity,
-    compute_affinity,
-    matching_matrix,
-)
+from .model import AffinityParams, Dataset, compute_affinity, matching_matrix
 from .sinkhorn import (
     OtInstance,
     SinkhornResult,
@@ -52,12 +44,9 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "adam_step",
-    "affinity_grad_item",
-    "affinity_grad_user",
     "apply_gaussian_noise",
     "apply_swap_noise",
     "brute_force_lap",
-    "check_affinity_linearity",
     "compute_affinity",
     "count_feasible_matchings",
     "cross_entropy_loss",

@@ -3,14 +3,18 @@
 A dataset bundle is a directory holding ``meta.json`` (sizes, alpha, seed,
 capacities, generator settings), headerless CSV matrices (``users.csv``,
 ``distances.csv``, optional ``items_truth.csv``) and ``matching.csv`` with
-one ``user,item`` row per user. Reals are written with 17 significant digits
-so a reload reproduces the float64 values bit for bit.
+one ``user,item`` row per user. Result tables (``history.csv``,
+``sweep.csv``) hold one row per record under a header of the record's field
+names. Reals are written with 17 significant digits so a reload reproduces
+the float64 values bit for bit.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,12 +24,6 @@ from .datagen import GenConfig
 from .metrics import EvalReport
 from .model import Dataset
 from .training import EpochRecord
-
-HISTORY_HEADER = ["epoch", "loss", "f1_micro", "f1_macro", "mean_embed_dist", "grad_norm"]
-SWEEP_HEADER = [
-    "grid_param", "grid_value", "repeat", "seed",
-    "final_loss", "final_f1_micro", "final_f1_macro", "final_mean_embed_dist", "error",
-]
 
 
 def _fmt(x: float) -> str:
@@ -154,60 +152,48 @@ def load_dataset(bundle_dir) -> Dataset:
     )
 
 
-def gen_config_from_meta(bundle_dir) -> GenConfig | None:
-    """Recover the generator settings stored in a bundle, if present."""
-    with open(Path(bundle_dir) / "meta.json") as fh:
-        meta = json.load(fh)
-    if "k" not in meta:
-        return None
-    return GenConfig(
-        n=int(meta["n"]),
-        m=int(meta["m"]),
-        d=int(meta["d"]),
-        k=int(meta["k"]),
-        alpha=float(meta["alpha"]),
-        cluster_spread=float(meta["cluster_spread"]),
-        dirichlet_conc=float(meta["dirichlet_conc"]),
-        extra_spots_per_item=int(meta["extra_spots_per_item"]),
-        seed=int(meta["seed"]),
-    )
-
-
-def save_history(history: list[EpochRecord], path) -> None:
+def _save_records(records: list, cls: type, path) -> None:
+    """Write records of dataclass ``cls`` as CSV; float fields use 17 digits."""
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for rec in history:
+        writer.writerow(names)
+        for rec in records:
             writer.writerow([
-                rec.epoch, _fmt(rec.loss), _fmt(rec.f1_micro), _fmt(rec.f1_macro),
-                _fmt(rec.mean_embed_dist), _fmt(rec.grad_norm),
+                _fmt(getattr(rec, name)) if hints[name] is float else getattr(rec, name)
+                for name in names
             ])
 
 
-def load_history(path) -> list[EpochRecord]:
+def _load_records(cls: type, path) -> list:
+    """Read a CSV written by :func:`_save_records`, converting each field by its type."""
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != HISTORY_HEADER:
+        if header != names:
             raise ValueError(f"{path}, line 1: bad header {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(HISTORY_HEADER):
-                raise ValueError(f"{path}, line {lineno}: expected {len(HISTORY_HEADER)} fields")
+            if len(row) != len(names):
+                raise ValueError(f"{path}, line {lineno}: expected {len(names)} fields")
             try:
-                records.append(EpochRecord(
-                    epoch=int(row[0]),
-                    loss=float(row[1]),
-                    f1_micro=float(row[2]),
-                    f1_macro=float(row[3]),
-                    mean_embed_dist=float(row[4]),
-                    grad_norm=float(row[5]),
-                ))
+                records.append(cls(*(hints[name](value) for name, value in zip(names, row))))
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: malformed record") from None
     return records
+
+
+def save_history(history: list[EpochRecord], path) -> None:
+    _save_records(history, EpochRecord, path)
+
+
+def load_history(path) -> list[EpochRecord]:
+    return _load_records(EpochRecord, path)
 
 
 @dataclass(frozen=True)
@@ -224,47 +210,14 @@ class SweepRow:
 
 
 def save_sweep(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.grid_param, _fmt(r.grid_value), r.repeat, r.seed,
-                _fmt(r.final_loss), _fmt(r.final_f1_micro), _fmt(r.final_f1_macro),
-                _fmt(r.final_mean_embed_dist), r.error,
-            ])
+    _save_records(rows, SweepRow, path)
 
 
 def load_sweep(path) -> list[SweepRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_HEADER:
-            raise ValueError(f"{path}, line 1: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SWEEP_HEADER):
-                raise ValueError(f"{path}, line {lineno}: expected {len(SWEEP_HEADER)} fields")
-            try:
-                rows.append(SweepRow(
-                    grid_param=row[0],
-                    grid_value=float(row[1]),
-                    repeat=int(row[2]),
-                    seed=int(row[3]),
-                    final_loss=float(row[4]),
-                    final_f1_micro=float(row[5]),
-                    final_f1_macro=float(row[6]),
-                    final_mean_embed_dist=float(row[7]),
-                    error=row[8],
-                ))
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: malformed record") from None
-    return rows
+    return _load_records(SweepRow, path)
 
 
 def save_eval_report(report: EvalReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,9 +1,10 @@
 """Command-line harness: generate, train, evaluate, sweep, plot.
 
-Configs are flat JSON with one shared schema; unknown keys are rejected so a
-typo in a hyperparameter never passes silently. Sweep runs derive their seeds
-by hashing (master seed, grid point, repeat), which makes them reproducible
-and safe to execute in parallel.
+Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
+``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
+so a typo in a hyperparameter never passes silently. Sweep runs derive their
+seeds by hashing (master seed, grid point, repeat), which makes them
+reproducible and safe to execute in parallel.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/IO error, 3 partial
 sweep failure.
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -44,22 +46,17 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 1."""
 
 
-_GEN_KEYS = {
-    "n": int, "m": int, "d": int, "k": int, "alpha": float,
-    "cluster_spread": float, "dirichlet_conc": float,
-    "extra_spots_per_item": int, "seed": int,
-}
-_TRAIN_KEYS = {
-    "epsilon": float, "alpha": float, "sinkhorn_iters": int, "learning_rate": float,
-    "epochs": int, "adam_beta1": float, "adam_beta2": float, "adam_eps": float,
-    "seed": int, "joint_users": bool, "init_scheme": str, "sinkhorn_warm_start": bool,
-}
 _NOISE_KEYS = {"swap_rho": float, "gauss_rho": float}
 _SWEEP_KEYS = {
     "epsilon_values": list, "gauss_rho_values": list, "swap_rho_values": list,
     "repeats": int,
 }
-_SCHEMA: dict[str, type] = {**_GEN_KEYS, **_TRAIN_KEYS, **_NOISE_KEYS, **_SWEEP_KEYS}
+_SCHEMA: dict[str, type] = {
+    **typing.get_type_hints(GenConfig),
+    **typing.get_type_hints(TrainConfig),
+    **_NOISE_KEYS,
+    **_SWEEP_KEYS,
+}
 
 _DEFAULTS = {
     "swap_rho": 0.0,
@@ -75,6 +72,8 @@ def _check_value(key: str, value, expected: type):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         return float(value)
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -84,15 +83,13 @@ def _check_value(key: str, value, expected: type):
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
         return value
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-        return value
     if expected is list:
         if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigError(f"config key {key!r} must be a list of numbers, got {value!r}")
+        if not all(math.isfinite(v) for v in value):
+            raise ConfigError(f"config key {key!r} must hold finite numbers, got {value!r}")
         return [float(v) for v in value]
     raise AssertionError(key)
 
@@ -128,19 +125,12 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def gen_config_from(cfg: dict) -> GenConfig:
-    kwargs = {k: cfg[k] for k in _GEN_KEYS if k in cfg}
-    try:
-        return GenConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def train_config_from(cfg: dict, **overrides) -> TrainConfig:
-    kwargs = {k: cfg[k] for k in _TRAIN_KEYS if k in cfg}
+def config_from(cls, cfg: dict, **overrides):
+    """Build the config dataclass ``cls`` from the keys of ``cfg`` naming its fields."""
+    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
     kwargs.update(overrides)
     try:
-        return TrainConfig(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -151,7 +141,7 @@ def _info(quiet: bool, message: str):
 
 
 def run_generate(cfg: dict, out_dir, quiet: bool = False) -> Path:
-    gen_cfg = gen_config_from(cfg)
+    gen_cfg = config_from(GenConfig, cfg)
     dataset = generate_dataset(gen_cfg)
     bundle = save_dataset(dataset, out_dir, gen_config=gen_cfg)
     _info(quiet, f"wrote dataset bundle ({dataset.n_users} users, "
@@ -176,7 +166,7 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         _info(quiet, f"warning: config alpha {cfg['alpha']} differs from "
                      f"bundle alpha {dataset.alpha}; using config value")
-    train_cfg = train_config_from(cfg)
+    train_cfg = config_from(TrainConfig, cfg)
     master_seed = cfg.get("seed", train_cfg.seed)
     training_data = _noisy_dataset(dataset, cfg, master_seed)
     result = train(training_data, train_cfg)
@@ -207,7 +197,7 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     if users_path.exists():
         users_eval = read_matrix_csv(users_path, expect_cols=dataset.dim)
     params = AffinityParams(alpha=cfg.get("alpha", dataset.alpha),
-                            epsilon=cfg.get("epsilon", 0.1))
+                            epsilon=cfg.get("epsilon", TrainConfig.epsilon))
     report = evaluate(dataset, items_hat, params, users_eval=users_eval)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,9 +233,9 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
         noise_seed = derive_seed(master_seed, param, grid_index, repeat, "noise")
         training_data = dataset
         users_eval = None
-        epsilon = cfg.get("epsilon", 0.1)
+        overrides = {"seed": run_seed}
         if param == "epsilon":
-            epsilon = value
+            overrides["epsilon"] = value
         elif param == "gauss_rho":
             if value > 0:
                 users = apply_gaussian_noise(dataset.users, value, noise_seed)
@@ -257,7 +247,7 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
                 training_data = dataclasses.replace(dataset, matching=matching)
         else:
             raise ValueError(f"unknown sweep parameter {param!r}")
-        train_cfg = train_config_from(cfg, epsilon=epsilon, seed=run_seed)
+        train_cfg = config_from(TrainConfig, cfg, **overrides)
         result = train(training_data, train_cfg)
         if result.users is not None:
             users_eval = result.users
@@ -265,7 +255,7 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
         report = evaluate(
             dataset,
             result.items,
-            AffinityParams(alpha=train_cfg.alpha, epsilon=epsilon),
+            AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon),
             users_eval=users_eval,
         )
         final_loss = result.history[-1].loss if result.history else math.nan

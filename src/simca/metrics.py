@@ -54,15 +54,6 @@ class EvalReport:
     mean_embed_dist: float | None
     cross_entropy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "f1_micro": self.f1_micro,
-            "f1_macro": self.f1_macro,
-            "per_item_f1": self.per_item_f1,
-            "mean_embed_dist": self.mean_embed_dist,
-            "cross_entropy": self.cross_entropy,
-        }
-
 
 def evaluate(
     dataset: Dataset,

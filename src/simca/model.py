@@ -26,26 +26,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_embeddings(values, normalized: bool = False, name: str = "embeddings") -> np.ndarray:
-    """Validate an embedding matrix; with ``normalized`` every row must be unit norm."""
-    arr = as_matrix(values, name)
-    if normalized:
-        norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError(f"{name} rows are not unit-normalized")
-    return arr
-
-
-def check_distances(values, mean_normalized: bool = False) -> np.ndarray:
-    """Validate a nonnegative distance matrix; optionally require grand mean 1."""
-    arr = as_matrix(values, "distances")
-    if np.any(arr < 0):
-        raise ValueError("distances must be nonnegative")
-    if mean_normalized and abs(arr.mean() - 1.0) > 1e-9:
-        raise ValueError("distances are not mean-normalized")
-    return arr
-
-
 def check_capacities(caps, n: int | None = None) -> np.ndarray:
     """Validate an integer capacity vector; with ``n`` require total capacity >= n."""
     arr = np.asarray(caps)
@@ -119,8 +99,10 @@ class Dataset:
     items_truth: np.ndarray | None = None
 
     def __post_init__(self):
-        users = check_embeddings(self.users, name="users")
-        distances = check_distances(self.distances)
+        users = as_matrix(self.users, "users")
+        distances = as_matrix(self.distances, "distances")
+        if np.any(distances < 0):
+            raise ValueError("distances must be nonnegative")
         caps = check_capacities(self.capacities, n=users.shape[0])
         matching = check_matching(self.matching, caps)
         n, m = distances.shape
@@ -137,7 +119,7 @@ class Dataset:
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "matching", matching)
         if self.items_truth is not None:
-            truth = check_embeddings(self.items_truth, name="items_truth")
+            truth = as_matrix(self.items_truth, "items_truth")
             if truth.shape != (m, users.shape[1]):
                 raise ValueError(
                     f"items_truth shape {truth.shape} does not match ({m}, {users.shape[1]})"
@@ -171,46 +153,3 @@ def compute_affinity(users, items, distances, alpha: float) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     return (1.0 - alpha) * (U @ V.T) - alpha * D
-
-
-def affinity_grad_item(users, i: int, alpha: float) -> np.ndarray:
-    """Gradient of M[i, j] in the item embedding V_j: (1 - alpha) * U_i for any j."""
-    U = as_matrix(users, "users")
-    if not 0 <= i < U.shape[0]:
-        raise IndexError(f"user index {i} out of range [0, {U.shape[0]})")
-    return (1.0 - alpha) * U[i]
-
-
-def affinity_grad_user(items, j: int, alpha: float) -> np.ndarray:
-    """Gradient of M[i, j] in the user embedding U_i: (1 - alpha) * V_j for any i."""
-    V = as_matrix(items, "items")
-    if not 0 <= j < V.shape[0]:
-        raise IndexError(f"item index {j} out of range [0, {V.shape[0]})")
-    return (1.0 - alpha) * V[j]
-
-
-def check_affinity_linearity(affinity_fn, n=5, m=2, d=3, alpha=0.37,
-                             rng=None, tol=1e-9) -> bool:
-    """Probe whether an affinity implementation is affine in the item matrix.
-
-    Both the closed-form training gradient and the convexity of the loss rely
-    on the score being linear in each item embedding; a plug-in replacement
-    for :func:`compute_affinity` can be validated here before use. Samples
-    random inputs and checks the affine identity
-    fn(aV1 + bV2) - fn(0) = a (fn(V1) - fn(0)) + b (fn(V2) - fn(0)).
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    users = rng.normal(size=(n, d))
-    distances = np.abs(rng.normal(size=(n, m)))
-    offset = affinity_fn(users, np.zeros((m, d)), distances, alpha)
-    for _ in range(5):
-        v1 = rng.normal(size=(m, d))
-        v2 = rng.normal(size=(m, d))
-        a, b = rng.normal(size=2)
-        lhs = affinity_fn(users, a * v1 + b * v2, distances, alpha) - offset
-        rhs = a * (affinity_fn(users, v1, distances, alpha) - offset) + b * (
-            affinity_fn(users, v2, distances, alpha) - offset
-        )
-        if np.max(np.abs(lhs - rhs)) > tol * max(1.0, np.max(np.abs(rhs))):
-            return False
-    return True

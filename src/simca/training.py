@@ -16,6 +16,7 @@ user embeddings when those are unknown.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,34 +26,23 @@ from .metrics import f1_scores, mean_embedding_distance
 from .model import Dataset, as_matrix, compute_affinity, matching_matrix
 from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
-INIT_SCHEMES = ("unit-sphere-random", "gaussian")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of a training run.
-
-    ``sinkhorn_warm_start`` carries the column scalings across epochs; the
-    embeddings move slowly per step, so the fixed iteration budget then tracks
-    the converged coupling and the closed-form gradient stays unbiased. With
-    cold restarts the truncated coupling is systematically off and the
-    optimizer drifts along weakly identified directions.
-    """
+    """Hyperparameters of a training run."""
 
     epsilon: float = 0.1
     alpha: float = 0.3
     sinkhorn_iters: int = 10
     learning_rate: float = 0.01
     epochs: int = 400
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     joint_users: bool = False
-    init_scheme: str = "unit-sphere-random"
-    sinkhorn_warm_start: bool = True
 
     def __post_init__(self):
+        for name in ("epsilon", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -63,12 +53,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}")
 
 
 @dataclass
@@ -144,13 +128,10 @@ def loss_gradient_users(items, assign, coupling, alpha: float, epsilon: float) -
     return ((1.0 - alpha) / epsilon) * diff @ V
 
 
-def init_embeddings(rng: np.random.Generator, rows: int, dim: int, scheme: str) -> np.ndarray:
+def init_embeddings(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """Random rows on the unit sphere."""
     draws = rng.normal(size=(rows, dim))
-    if scheme == "unit-sphere-random":
-        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-    elif scheme != "gaussian":
-        raise ValueError(f"unknown init scheme {scheme!r}")
-    return draws
+    return draws / np.linalg.norm(draws, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -180,11 +161,11 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """
     rng = np.random.default_rng(config.seed)
     n, m, d = dataset.n_users, dataset.n_items, dataset.dim
-    items = init_embeddings(rng, m, d, config.init_scheme)
+    items = init_embeddings(rng, m, d)
     users = dataset.users
     learn_users = config.joint_users
     if learn_users:
-        users = init_embeddings(rng, n, d, config.init_scheme)
+        users = init_embeddings(rng, n, d)
 
     item_state = AdamState.zeros(items.shape)
     user_state = AdamState.zeros(users.shape) if learn_users else None
@@ -196,9 +177,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     for epoch in range(config.epochs):
         affinity = compute_affinity(users, items, dataset.distances, config.alpha)
         inst = extend_with_slack(affinity, caps, config.epsilon)
+        # Warm start: the column scalings carry across epochs. The embeddings
+        # move slowly per step, so the fixed iteration budget then tracks the
+        # converged coupling and the closed-form gradient stays unbiased. With
+        # cold restarts the truncated coupling is systematically off and the
+        # optimizer drifts along weakly identified directions.
         result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b_carry)
-        if config.sinkhorn_warm_start:
-            log_b_carry = result.log_b
+        log_b_carry = result.log_b
         pi = result.user_coupling
 
         loss = cross_entropy_loss(sigma, pi)
@@ -226,15 +211,9 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             )
         )
 
-        items, item_state = adam_step(
-            items, grad_items, item_state,
-            config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
-        )
+        items, item_state = adam_step(items, grad_items, item_state, config.learning_rate)
         if learn_users:
-            users, user_state = adam_step(
-                users, grad_users, user_state,
-                config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
-            )
+            users, user_state = adam_step(users, grad_users, user_state, config.learning_rate)
 
     return TrainResult(
         items=items,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from simca.bundle import (
     load_sweep,
     read_matrix_csv,
     save_dataset,
+    save_eval_report,
     save_history,
     save_sweep,
     write_matrix_csv,
 )
 from simca.datagen import GenConfig, generate_dataset
+from simca.metrics import EvalReport
 from simca.training import EpochRecord
 
 
@@ -117,3 +121,41 @@ def test_sweep_malformed_row(tmp_path):
         fh.write("epsilon,0.1,0,1,x,y,z,w,\n")
     with pytest.raises(ValueError, match="line 2"):
         load_sweep(path)
+
+
+def test_result_files_have_pinned_bytes(tmp_path):
+    # The exact on-disk text of history.csv, sweep.csv and eval.json:
+    # headers, 17-digit floats, nan, an empty error column and a quoted one.
+    save_history([
+        EpochRecord(epoch=0, loss=0.1, f1_micro=2 / 3, f1_macro=1.0,
+                    mean_embed_dist=math.nan, grad_norm=12.5),
+        EpochRecord(epoch=1, loss=1e-20, f1_micro=0.5, f1_macro=0.25,
+                    mean_embed_dist=1 / 3, grad_norm=3.0),
+    ], tmp_path / "history.csv")
+    assert (tmp_path / "history.csv").read_bytes() == (
+        b"epoch,loss,f1_micro,f1_macro,mean_embed_dist,grad_norm\r\n"
+        b"0,0.10000000000000001,0.66666666666666663,1,nan,12.5\r\n"
+        b"1,9.9999999999999995e-21,0.5,0.25,0.33333333333333331,3\r\n"
+    )
+    save_sweep([
+        SweepRow(grid_param="epsilon", grid_value=0.1, repeat=0, seed=123,
+                 final_loss=10.0, final_f1_micro=0.9, final_f1_macro=0.85,
+                 final_mean_embed_dist=0.3),
+        SweepRow(grid_param="swap_rho", grid_value=0.2, repeat=1, seed=456,
+                 error="ValueError: boom, bad"),
+    ], tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"grid_param,grid_value,repeat,seed,final_loss,final_f1_micro,"
+        b"final_f1_macro,final_mean_embed_dist,error\r\n"
+        b"epsilon,0.10000000000000001,0,123,10,0.90000000000000002,"
+        b"0.84999999999999998,0.29999999999999999,\r\n"
+        b'swap_rho,0.20000000000000001,1,456,nan,nan,nan,nan,"ValueError: boom, bad"\r\n'
+    )
+    save_eval_report(EvalReport(f1_micro=0.9, f1_macro=2 / 3, per_item_f1=[1.0, 0.5],
+                                mean_embed_dist=None, cross_entropy=12.25),
+                     tmp_path / "eval.json")
+    assert (tmp_path / "eval.json").read_text() == (
+        '{\n  "cross_entropy": 12.25,\n  "f1_macro": 0.6666666666666666,\n'
+        '  "f1_micro": 0.9,\n  "mean_embed_dist": null,\n'
+        '  "per_item_f1": [\n    1.0,\n    0.5\n  ]\n}\n'
+    )

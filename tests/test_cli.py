@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from simca.bundle import load_history, load_sweep
 from simca.cli import (
     ConfigError,
+    config_from,
     derive_seed,
     load_config,
     main,
     run_sweep,
     validate_config,
 )
+from simca.datagen import GenConfig
+from simca.training import TrainConfig
 
 SMALL_CONFIG = {
     "n": 40, "m": 3, "d": 2, "k": 2, "alpha": 0.3,
@@ -41,6 +45,21 @@ def test_validate_config_type_errors():
         validate_config({"joint_users": 1})
     with pytest.raises(ConfigError, match="epsilon_values"):
         validate_config({"epsilon_values": [0.1, "x"]})
+    # json.loads accepts NaN and Infinity; the schema does not
+    with pytest.raises(ConfigError, match="epsilon"):
+        validate_config(json.loads('{"epsilon": NaN}'))
+    with pytest.raises(ConfigError, match="learning_rate"):
+        validate_config(json.loads('{"learning_rate": Infinity}'))
+    with pytest.raises(ConfigError, match="epsilon_values"):
+        validate_config(json.loads('{"epsilon_values": [NaN]}'))
+
+
+def test_config_dataclasses_roundtrip_through_the_schema():
+    for cls in (GenConfig, TrainConfig):
+        cfg = validate_config(asdict(cls()))
+        assert config_from(cls, cfg) == cls()
+    with pytest.raises(ConfigError, match="sinkhorn_warm_start"):
+        validate_config({"sinkhorn_warm_start": True})
 
 
 def test_missing_config_file_names_path(tmp_path, capsys):

@@ -4,9 +4,6 @@ import pytest
 from simca.model import (
     AffinityParams,
     Dataset,
-    affinity_grad_item,
-    affinity_grad_user,
-    check_affinity_linearity,
     compute_affinity,
     matching_matrix,
 )
@@ -50,24 +47,6 @@ def test_affinity_shape_errors():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         compute_affinity(bad, V, np.zeros((3, 2)), 0.5)
-
-
-def test_grad_item_examples():
-    U = np.array([[0.6, 0.8], [1.0, 0.0]])
-    assert np.array_equal(affinity_grad_item(U, 0, 1.0), np.zeros(2))
-    assert np.array_equal(affinity_grad_item(U, 1, 0.0), np.array([1.0, 0.0]))
-    assert affinity_grad_item(U, 0, 0.3) == pytest.approx([0.42, 0.56], abs=1e-15)
-    with pytest.raises(IndexError):
-        affinity_grad_item(U, 2, 0.5)
-
-
-def test_grad_user_examples():
-    V = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(affinity_grad_user(V, 0, 1.0), np.zeros(2))
-    assert np.array_equal(affinity_grad_user(V, 0, 0.0), np.array([0.0, 1.0]))
-    assert affinity_grad_user(V, 1, 0.5) == pytest.approx([0.5, 0.5])
-    with pytest.raises(IndexError):
-        affinity_grad_user(V, 5, 0.5)
 
 
 def test_affinity_is_affine_in_items():
@@ -116,17 +95,6 @@ def test_matching_matrix():
     out = matching_matrix([1, 0, 1], 3)
     expected = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     assert np.array_equal(out, expected)
-
-
-def test_linearity_probe_accepts_shipped_affinity():
-    assert check_affinity_linearity(compute_affinity)
-
-
-def test_linearity_probe_rejects_quadratic_scores():
-    def quadratic(users, items, distances, alpha):
-        return (1 - alpha) * (users @ items.T) ** 2 - alpha * distances
-
-    assert not check_affinity_linearity(quadratic)
 
 
 def test_affinity_params_validation():

@@ -196,13 +196,6 @@ def test_train_joint_mode_returns_users():
     assert not np.allclose(result.users, ds.users)
 
 
-def test_gaussian_init_scheme():
-    ds = _toy_dataset()
-    result = train(ds, TrainConfig(seed=3, epochs=0, init_scheme="gaussian"))
-    norms = np.linalg.norm(result.items, axis=1)
-    assert not np.allclose(norms, 1.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
@@ -210,8 +203,11 @@ def test_config_validation():
         TrainConfig(alpha=1.2)
     with pytest.raises(ValueError):
         TrainConfig(sinkhorn_iters=0)
-    with pytest.raises(ValueError):
-        TrainConfig(init_scheme="orthogonal")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            TrainConfig(epsilon=bad)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
 
