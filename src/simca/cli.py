@@ -68,11 +68,19 @@ _DEFAULTS = {
 }
 
 
+def _is_finite(value) -> bool:
+    """Whether a JSON number is a finite float; an integer beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_value(key: str, value, expected: type):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         return float(value)
     if expected is int:
@@ -88,7 +96,7 @@ def _check_value(key: str, value, expected: type):
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigError(f"config key {key!r} must be a list of numbers, got {value!r}")
-        if not all(math.isfinite(v) for v in value):
+        if not all(_is_finite(v) for v in value):
             raise ConfigError(f"config key {key!r} must hold finite numbers, got {value!r}")
         return [float(v) for v in value]
     raise AssertionError(key)

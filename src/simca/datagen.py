@@ -53,21 +53,11 @@ class GenConfig:
             raise ValueError("extra_spots_per_item must be nonnegative")
 
 
-def _capacities_from_rng(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    conc: float,
-    extra: int,
-    proportions=None,
-) -> np.ndarray:
-    if proportions is None:
-        proportions = rng.dirichlet(conc * np.ones(m))
-    else:
-        proportions = np.asarray(proportions, dtype=np.float64)
-        if len(proportions) != m or abs(proportions.sum() - 1.0) > 1e-9:
-            raise ValueError("proportions must be a length-m probability vector")
-    targets = proportions * n
+def round_capacities(proportions, n: int, extra: int) -> np.ndarray:
+    """Capacities from item proportions: ``proportions * n`` rounded by largest
+    remainder to sum n, plus ``extra`` spots per item. Without extra spots,
+    every item keeps at least one spot; that needs n >= len(proportions)."""
+    targets = np.asarray(proportions, dtype=np.float64) * n
     base = np.floor(targets).astype(np.int64)
     remainders = targets - base
     deficit = n - int(base.sum())
@@ -75,21 +65,10 @@ def _capacities_from_rng(
     base[order[:deficit]] += 1
     if extra == 0:
         # keep every item usable: a zero capacity would break the transport step
-        if n < m:
-            raise ValueError("need n >= m when no extra spots are added")
         while np.any(base == 0):
             base[int(np.argmax(base == 0))] += 1
             base[int(np.argmax(base))] -= 1
     return base + extra
-
-
-def sample_capacities(n: int, m: int, conc: float, extra: int, seed: int, proportions=None) -> np.ndarray:
-    """Dirichlet proportions of n, largest-remainder rounded to sum n, plus
-    ``extra`` spots per item. ``proportions`` overrides the draw (test hook)."""
-    if m < 1:
-        raise ValueError("need at least one item")
-    rng = np.random.default_rng(seed)
-    return _capacities_from_rng(rng, n, m, conc, extra, proportions)
 
 
 def generate_dataset(cfg: GenConfig) -> Dataset:
@@ -111,7 +90,8 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
     distances = np.minimum(gap, 2.0 * np.pi - gap)
     distances /= distances.mean()
 
-    caps = _capacities_from_rng(rng, n, m, cfg.dirichlet_conc, cfg.extra_spots_per_item)
+    proportions = rng.dirichlet(cfg.dirichlet_conc * np.ones(m))
+    caps = round_capacities(proportions, n, cfg.extra_spots_per_item)
 
     affinity = compute_affinity(users, items, distances, cfg.alpha)
     matching = solve_lap(affinity, caps).matching

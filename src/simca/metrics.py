@@ -20,8 +20,6 @@ def f1_scores(truth, pred, m: int) -> tuple[float, float, np.ndarray]:
     """
     truth = np.asarray(truth, dtype=np.int64)
     pred = np.asarray(pred, dtype=np.int64)
-    if truth.shape != pred.shape:
-        raise ValueError(f"matchings differ in length: {truth.shape} vs {pred.shape}")
     hit = truth == pred
     tp = np.bincount(truth[hit], minlength=m)[:m]
     # 2 tp + fp + fn: every true and every predicted user of the item
@@ -39,11 +37,14 @@ def mean_embedding_distance(learned, truth) -> float:
     Item identities are fixed by the dataset, so row j is compared to row j;
     no permutation alignment.
     """
-    a = as_matrix(learned, "learned")
-    b = as_matrix(truth, "truth")
-    if a.shape != b.shape:
-        raise ValueError(f"embedding shapes differ: {a.shape} vs {b.shape}")
-    return float(np.mean(np.linalg.norm(a - b, axis=1)))
+    return float(np.mean(np.linalg.norm(learned - truth, axis=1)))
+
+
+def _learned(values, name: str, shape: tuple[int, int]) -> np.ndarray:
+    arr = as_matrix(values, name)
+    if arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -68,9 +69,14 @@ def evaluate(
     Recomputes the affinity matrix with ``users_eval`` (the dataset's users by
     default), solves the regularized transport problem to tolerance, rounds
     the coupling to a hard matching via the LAP, and compares it to the
-    dataset's observed matching.
+    dataset's observed matching. This is the entry check for learned arrays:
+    ``items_hat`` must be a finite (m, d) matrix and ``users_eval`` a finite
+    (n, d) one.
     """
-    users = dataset.users if users_eval is None else as_matrix(users_eval, "users_eval")
+    items_hat = _learned(items_hat, "items_hat", (dataset.n_items, dataset.dim))
+    users = dataset.users
+    if users_eval is not None:
+        users = _learned(users_eval, "users_eval", (dataset.n_users, dataset.dim))
     affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
     result = solve_ot(inst, tol=tol, max_iterations=max_iterations)

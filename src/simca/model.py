@@ -7,7 +7,9 @@ the inner product of their embeddings with an exogenous distance penalty:
 
 ``alpha`` in [0, 1] trades latent affinity against geographic proximity.
 Matrices are plain float64 numpy arrays throughout; embedding matrices are
-row-major (one row per user or item).
+row-major (one row per user or item). ``Dataset`` and ``AffinityParams``
+validate on construction, so ``compute_affinity`` and the other per-epoch
+kernels take their inputs as given.
 """
 from __future__ import annotations
 
@@ -141,15 +143,4 @@ class Dataset:
 
 def compute_affinity(users, items, distances, alpha: float) -> np.ndarray:
     """Affinity matrix (1 - alpha) * U V^T - alpha * D, shape (n, m)."""
-    U = as_matrix(users, "users")
-    V = as_matrix(items, "items")
-    D = as_matrix(distances, "distances")
-    if U.shape[1] != V.shape[1]:
-        raise ValueError(f"embedding dims differ: users {U.shape[1]}, items {V.shape[1]}")
-    if D.shape != (U.shape[0], V.shape[0]):
-        raise ValueError(
-            f"distances shape {D.shape} does not match ({U.shape[0]}, {V.shape[0]})"
-        )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return (1.0 - alpha) * (U @ V.T) - alpha * D
+    return (1.0 - alpha) * (users @ items.T) - alpha * distances

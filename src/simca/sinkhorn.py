@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_matrix
-
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     amax = np.max(a, axis=axis, keepdims=True)
@@ -45,12 +43,6 @@ class OtInstance:
     epsilon: float
     n_users: int
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if abs(self.row_masses.sum() - self.col_masses.sum()) > 1e-9:
-            raise ValueError("row and column masses must balance")
-
     @property
     def has_slack(self) -> bool:
         return self.affinity.shape[0] == self.n_users + 1
@@ -58,20 +50,17 @@ class OtInstance:
 
 def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     """Build a balanced instance; appends a zero-affinity virtual user when
-    total capacity exceeds the number of users."""
-    M = as_matrix(affinity, "affinity")
-    caps = np.asarray(caps, dtype=np.int64)
-    n, m = M.shape
+    total capacity exceeds the number of users. The capacities are a
+    validated integer vector with total at least the number of users."""
+    n, m = affinity.shape
     total = int(caps.sum())
-    if total < n:
-        raise ValueError(f"infeasible: total capacity {total} < {n} users")
     if total == n:
         rows = np.ones(n)
     else:
-        M = np.vstack([M, np.zeros((1, m))])
+        affinity = np.vstack([affinity, np.zeros((1, m))])
         rows = np.concatenate([np.ones(n), [float(total - n)]])
     return OtInstance(
-        affinity=M,
+        affinity=affinity,
         row_masses=rows,
         col_masses=caps.astype(np.float64),
         epsilon=float(epsilon),
@@ -113,46 +102,44 @@ def solve_ot(
 
     Exactly one stopping mode applies: a fixed number of ``iterations``
     (training mode), or a marginal ``tol`` with an iteration cap
-    (analysis mode). One iteration is a row update followed by a column
-    update. ``log_b_init`` warm-starts the column scalings (defaults to
-    zeros). Under tolerance mode a run that exhausts ``max_iterations``
-    returns with ``converged=False`` rather than raising.
+    (analysis mode); either count must be at least 1. One iteration is a
+    row update followed by a column update. ``log_b_init`` warm-starts the
+    column scalings (defaults to zeros). Under tolerance mode a run that
+    exhausts ``max_iterations`` returns with ``converged=False`` rather than
+    raising.
     """
     if (iterations is None) == (tol is None):
         raise ValueError("specify exactly one of iterations or tol")
+    limit = iterations if tol is None else max_iterations
+    if limit < 1:
+        raise ValueError("iterations and max_iterations must be at least 1")
     log_k = inst.affinity / inst.epsilon
     log_r = np.log(inst.row_masses)
     log_c = np.log(inst.col_masses)
-    log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init.copy()
-    log_a = log_r - _logsumexp(log_k + log_b[None, :], axis=1)
+    log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
 
-    def coupling() -> np.ndarray:
-        return np.exp(log_a[:, None] + log_k + log_b[None, :])
-
-    def marginal_error(pi: np.ndarray) -> float:
+    def coupling_and_error() -> tuple[np.ndarray, float]:
+        pi = np.exp(log_a[:, None] + log_k + log_b[None, :])
         row_err = np.max(np.abs(pi.sum(axis=1) - inst.row_masses))
         col_err = np.max(np.abs(pi.sum(axis=0) - inst.col_masses))
-        return float(max(row_err, col_err))
+        return pi, float(max(row_err, col_err))
 
-    limit = iterations if tol is None else max_iterations
-    done = 0
-    converged = tol is None
-    for it in range(1, limit + 1):
+    for done in range(1, limit + 1):
         log_a = log_r - _logsumexp(log_k + log_b[None, :], axis=1)
         log_b = log_c - _logsumexp(log_a[:, None] + log_k, axis=0)
-        done = it
-        if tol is not None and marginal_error(coupling()) <= tol:
-            converged = True
-            break
-
-    pi = coupling()
+        if tol is not None:
+            pi, error = coupling_and_error()
+            if error <= tol:
+                break
+    if tol is None:
+        pi, error = coupling_and_error()
     return SinkhornResult(
         coupling=pi,
         log_a=log_a,
         log_b=log_b,
         iterations=done,
-        marginal_error=marginal_error(pi),
-        converged=converged,
+        marginal_error=error,
+        converged=tol is None or error <= tol,
         n_users=inst.n_users,
     )
 
@@ -175,11 +162,7 @@ def entropy(pi) -> float:
 
 def ot_value(affinity, pi, epsilon: float) -> float:
     """Objective value Tr(pi^T M) + epsilon * H(pi)."""
-    M = as_matrix(affinity, "affinity")
-    arr = np.asarray(pi, dtype=np.float64)
-    if arr.shape != M.shape:
-        raise ValueError(f"coupling shape {arr.shape} does not match affinity {M.shape}")
-    return float(np.sum(arr * M)) + epsilon * entropy(arr)
+    return float(np.sum(pi * affinity)) + epsilon * entropy(pi)
 
 
 def cross_entropy_loss(assign, coupling) -> float:
@@ -187,12 +170,7 @@ def cross_entropy_loss(assign, coupling) -> float:
 
     Accepts a coupling carrying one extra slack row; that row is ignored.
     """
-    assign = np.asarray(assign, dtype=np.int64)
-    pi = np.asarray(coupling, dtype=np.float64)
-    n = len(assign)
-    if pi.shape[0] not in (n, n + 1):
-        raise ValueError(f"coupling has {pi.shape[0]} rows for {n} users")
-    matched = pi[np.arange(n), assign]
+    matched = coupling[np.arange(len(assign)), assign]
     if np.any(matched <= 0):
         raise ValueError("coupling vanishes on a matched pair")
     return float(-np.log(matched).sum())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
-from .model import Dataset, as_matrix, compute_affinity, matching_matrix
+from .model import Dataset, compute_affinity, matching_matrix
 from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
 
@@ -78,8 +78,6 @@ def adam_step(
     adam_eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns new parameters and state."""
-    if grad.shape != params.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match params {params.shape}")
     t = state.step + 1
     m = beta1 * state.first_moment + (1 - beta1) * grad
     v = beta2 * state.second_moment + (1 - beta2) * grad * grad
@@ -101,31 +99,18 @@ def matching_with_slack(assign, caps) -> np.ndarray:
 
 
 def loss_gradient_items(users, assign, coupling, alpha: float, epsilon: float) -> np.ndarray:
-    """Closed-form gradient of the cross-entropy loss in the item embeddings."""
-    U = as_matrix(users, "users")
-    assign = np.asarray(assign, dtype=np.int64)
-    pi = np.asarray(coupling, dtype=np.float64)
-    n = U.shape[0]
-    if len(assign) != n:
-        raise ValueError(f"matching has {len(assign)} entries for {n} users")
-    if pi.shape[0] not in (n, n + 1):
-        raise ValueError(f"coupling has {pi.shape[0]} rows for {n} users")
-    diff = pi[:n] - matching_matrix(assign, pi.shape[1])
-    return ((1.0 - alpha) / epsilon) * diff.T @ U
+    """Closed-form gradient of the cross-entropy loss in the item embeddings.
+
+    ``coupling`` is the user coupling (n x m), without the slack row.
+    """
+    diff = coupling - matching_matrix(assign, coupling.shape[1])
+    return ((1.0 - alpha) / epsilon) * diff.T @ users
 
 
 def loss_gradient_users(items, assign, coupling, alpha: float, epsilon: float) -> np.ndarray:
     """Symmetric gradient in the user embeddings, for joint learning."""
-    V = as_matrix(items, "items")
-    assign = np.asarray(assign, dtype=np.int64)
-    pi = np.asarray(coupling, dtype=np.float64)
-    n = len(assign)
-    if pi.shape[0] not in (n, n + 1):
-        raise ValueError(f"coupling has {pi.shape[0]} rows for {n} users")
-    if pi.shape[1] != V.shape[0]:
-        raise ValueError(f"coupling has {pi.shape[1]} columns for {V.shape[0]} items")
-    diff = pi[:n] - matching_matrix(assign, pi.shape[1])
-    return ((1.0 - alpha) / epsilon) * diff @ V
+    diff = coupling - matching_matrix(assign, coupling.shape[1])
+    return ((1.0 - alpha) / epsilon) * diff @ items
 
 
 def init_embeddings(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:

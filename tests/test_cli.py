@@ -52,6 +52,11 @@ def test_validate_config_type_errors():
         validate_config(json.loads('{"learning_rate": Infinity}'))
     with pytest.raises(ConfigError, match="epsilon_values"):
         validate_config(json.loads('{"epsilon_values": [NaN]}'))
+    # an integer too large for a float is a config error, not an OverflowError
+    with pytest.raises(ConfigError, match="epsilon"):
+        validate_config({"epsilon": 10**400})
+    with pytest.raises(ConfigError, match="epsilon_values"):
+        validate_config({"epsilon_values": [0.1, 10**400]})
 
 
 def test_config_dataclasses_roundtrip_through_the_schema():
@@ -114,6 +119,22 @@ def test_zero_epochs_writes_initialization(tmp_path):
                  "--out", str(run_dir), "--quiet"]) == 0
     assert load_history(run_dir / "history.csv") == []
     assert (run_dir / "items_learned.csv").exists()
+
+
+def test_evaluate_truncated_items_exits_1(tmp_path, capsys):
+    config = write_config(tmp_path, {"epochs": 0})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    run_dir = tmp_path / "run"
+    main(["train", "--bundle", str(bundle), "--config", str(config),
+          "--out", str(run_dir), "--quiet"])
+    items_path = run_dir / "items_learned.csv"
+    # every row has the right width; one row is missing
+    items_path.write_text("".join(items_path.read_text().splitlines(keepends=True)[:-1]))
+    code = main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--out", str(tmp_path / "eval"), "--quiet"])
+    assert code == 1
+    assert "items_hat shape" in capsys.readouterr().err
 
 
 def test_generation_is_byte_identical_per_seed(tmp_path):

@@ -7,37 +7,40 @@ from simca.datagen import (
     apply_gaussian_noise,
     apply_swap_noise,
     generate_dataset,
-    sample_capacities,
+    round_capacities,
 )
 from simca.model import compute_affinity
 
 
 def test_capacities_single_item():
-    assert np.array_equal(sample_capacities(100, 1, 1.0, 5, seed=0), [105])
+    assert np.array_equal(round_capacities([1.0], 100, 5), [105])
 
 
 def test_capacities_forced_equal_proportions():
-    caps = sample_capacities(999, 3, 1.0, 0, seed=0, proportions=[1 / 3, 1 / 3, 1 / 3])
+    caps = round_capacities([1 / 3, 1 / 3, 1 / 3], 999, 0)
     assert np.array_equal(caps, [333, 333, 333])
 
 
 def test_capacities_match_reported_totals():
-    caps = sample_capacities(1000, 3, 1.0, 10, seed=4)
+    caps = round_capacities(np.random.default_rng(4).dirichlet(np.ones(3)), 1000, 10)
     assert caps.sum() == 1030
     assert np.all(caps >= 1)
 
 
 def test_capacities_sum_and_determinism():
-    a = sample_capacities(250, 4, 0.8, 3, seed=11)
-    b = sample_capacities(250, 4, 0.8, 3, seed=11)
+    proportions = np.random.default_rng(11).dirichlet(0.8 * np.ones(4))
+    a = round_capacities(proportions, 250, 3)
+    b = round_capacities(proportions, 250, 3)
     assert np.array_equal(a, b)
     assert a.sum() == 250 + 4 * 3
     assert np.all(a >= 1)
+    # largest remainder: each item gets the floor or the ceiling of its share
+    assert np.all(np.abs(a - 3 - proportions * 250) < 1)
 
 
 def test_capacities_every_item_usable_without_extras():
     # skewed proportions would round an item to zero; the floor keeps it at 1
-    caps = sample_capacities(50, 3, 1.0, 0, seed=0, proportions=[0.995, 0.004, 0.001])
+    caps = round_capacities([0.995, 0.004, 0.001], 50, 0)
     assert caps.sum() == 50
     assert np.all(caps >= 1)
 

@@ -47,11 +47,6 @@ def test_micro_is_one_minus_hamming():
     assert micro == pytest.approx(1.0 - np.mean(truth != pred))
 
 
-def test_f1_length_mismatch():
-    with pytest.raises(ValueError):
-        f1_scores(np.array([0, 1]), np.array([0]), 2)
-
-
 def test_mean_embedding_distance():
     V = np.array([[3.0, 4.0]])
     assert mean_embedding_distance(V, V) == 0.0
@@ -98,6 +93,19 @@ def test_evaluate_with_substitute_users():
     base = evaluate(ds, ds.items_truth, params)
     other = evaluate(ds, ds.items_truth, params, users_eval=np.flipud(ds.users.copy()))
     assert base.f1_micro >= other.f1_micro  # scrambled users can only hurt
+
+
+def test_evaluate_rejects_malformed_learned_arrays():
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
+    params = AffinityParams(alpha=ds.alpha, epsilon=0.2)
+    with pytest.raises(ValueError, match="items_hat shape"):
+        evaluate(ds, ds.items_truth[:2], params)
+    bad = ds.items_truth.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(ds, bad, params)
+    with pytest.raises(ValueError, match="users_eval shape"):
+        evaluate(ds, ds.items_truth, params, users_eval=ds.users[:, :1])
 
 
 def test_evaluate_is_deterministic():

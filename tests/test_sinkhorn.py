@@ -31,11 +31,6 @@ def test_extend_surplus_mass_for_unbalanced_capacities():
     assert inst.row_masses[-1] == pytest.approx(30.0)
 
 
-def test_extend_infeasible():
-    with pytest.raises(ValueError, match="infeasible"):
-        extend_with_slack(np.zeros((5, 2)), np.array([2, 2]), 0.1)
-
-
 def test_constant_affinity_gives_product_coupling():
     caps = np.array([2, 1, 1])
     inst = extend_with_slack(np.full((4, 3), 2.5), caps, 0.7)
@@ -187,3 +182,7 @@ def test_stopping_mode_is_exclusive():
         solve_ot(inst)
     with pytest.raises(ValueError):
         solve_ot(inst, iterations=3, tol=1e-8)
+    with pytest.raises(ValueError, match="at least 1"):
+        solve_ot(inst, iterations=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        solve_ot(inst, tol=1e-8, max_iterations=0)

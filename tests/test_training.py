@@ -196,6 +196,14 @@ def test_train_joint_mode_returns_users():
     assert not np.allclose(result.users, ds.users)
 
 
+def test_diverging_run_fails_loudly():
+    # an absurd step size overflows the embeddings; the run must stop with an
+    # error instead of logging NaN epochs
+    ds = _toy_dataset(n=30)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        train(ds, TrainConfig(seed=0, epochs=5, learning_rate=1.7e308))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
