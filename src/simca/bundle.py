@@ -37,7 +37,7 @@ def write_matrix_csv(path: Path, values: np.ndarray) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def read_matrix_csv(path: Path, expect_cols: int | None = None) -> np.ndarray:
+def read_matrix_csv(path: Path, expect_cols: int) -> np.ndarray:
     rows = []
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -45,7 +45,7 @@ def read_matrix_csv(path: Path, expect_cols: int | None = None) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",")
-            if expect_cols is not None and len(parts) != expect_cols:
+            if len(parts) != expect_cols:
                 raise ValueError(
                     f"{path}, line {lineno}: expected {expect_cols} columns, got {len(parts)}"
                 )
@@ -55,9 +55,6 @@ def read_matrix_csv(path: Path, expect_cols: int | None = None) -> np.ndarray:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows with widths {sorted(widths)}")
     return np.asarray(rows, dtype=np.float64)
 
 

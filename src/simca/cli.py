@@ -2,9 +2,11 @@
 
 Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
 ``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
-so a typo in a hyperparameter never passes silently. Sweep runs derive their
-seeds by hashing (master seed, grid point, repeat), which makes them
-reproducible and safe to execute in parallel.
+so a typo in a hyperparameter never passes silently. Training and scoring use
+the bundle's alpha unless the config sets one. A sweep cell is a train run
+with one key set: the swept value replaces that key and every other noise
+level is zero. Sweep runs derive their seeds by hashing (master seed, grid
+point, repeat), which makes them reproducible and safe to execute in parallel.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/IO error, 3 partial
 sweep failure.
@@ -20,8 +22,6 @@ import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from .bundle import (
     SweepRow,
@@ -46,25 +46,19 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 1."""
 
 
-_NOISE_KEYS = {"swap_rho": float, "gauss_rho": float}
-_SWEEP_KEYS = {
-    "epsilon_values": list, "gauss_rho_values": list, "swap_rho_values": list,
-    "repeats": int,
+# the swept keys; each one's grid is the config key f"{param}_values"
+_SWEEP_PARAMS = ("epsilon", "gauss_rho", "swap_rho")
+# the keys that are not dataclass fields, always filled; a key's type is its default's
+_DEFAULTS = {
+    "swap_rho": 0.0,
+    "gauss_rho": 0.0,
+    **{f"{param}_values": [] for param in _SWEEP_PARAMS},
+    "repeats": 1,
 }
 _SCHEMA: dict[str, type] = {
     **typing.get_type_hints(GenConfig),
     **typing.get_type_hints(TrainConfig),
-    **_NOISE_KEYS,
-    **_SWEEP_KEYS,
-}
-
-_DEFAULTS = {
-    "swap_rho": 0.0,
-    "gauss_rho": 0.0,
-    "epsilon_values": [],
-    "gauss_rho_values": [],
-    "swap_rho_values": [],
-    "repeats": 1,
+    **{key: type(default) for key, default in _DEFAULTS.items()},
 }
 
 
@@ -157,15 +151,19 @@ def run_generate(cfg: dict, out_dir, quiet: bool = False) -> Path:
     return bundle
 
 
-def _noisy_dataset(dataset: Dataset, cfg: dict, master_seed: int) -> Dataset:
-    """Apply configured swap/gaussian noise to the training inputs."""
+def _train_config(dataset: Dataset, cfg: dict, **overrides) -> TrainConfig:
+    """The run's ``TrainConfig``; alpha defaults to the bundle's."""
+    return config_from(TrainConfig, {"alpha": dataset.alpha, **cfg}, **overrides)
+
+
+def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
+                   gauss_seed: int, swap_seed: int) -> Dataset:
+    """The training inputs: the users with gaussian noise and the matching with swap noise."""
     out = dataset
-    if cfg.get("gauss_rho", 0.0) > 0:
-        users = apply_gaussian_noise(out.users, cfg["gauss_rho"], derive_seed(master_seed, "gauss"))
-        out = dataclasses.replace(out, users=users)
-    if cfg.get("swap_rho", 0.0) > 0:
-        matching = apply_swap_noise(out.matching, cfg["swap_rho"], derive_seed(master_seed, "swap"))
-        out = dataclasses.replace(out, matching=matching)
+    if gauss_rho > 0:
+        out = dataclasses.replace(out, users=apply_gaussian_noise(out.users, gauss_rho, gauss_seed))
+    if swap_rho > 0:
+        out = dataclasses.replace(out, matching=apply_swap_noise(out.matching, swap_rho, swap_seed))
     return out
 
 
@@ -174,9 +172,10 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         _info(quiet, f"warning: config alpha {cfg['alpha']} differs from "
                      f"bundle alpha {dataset.alpha}; using config value")
-    train_cfg = config_from(TrainConfig, cfg)
-    master_seed = cfg.get("seed", train_cfg.seed)
-    training_data = _noisy_dataset(dataset, cfg, master_seed)
+    train_cfg = _train_config(dataset, cfg)
+    training_data = _noisy_dataset(dataset, cfg["gauss_rho"], cfg["swap_rho"],
+                                   derive_seed(train_cfg.seed, "gauss"),
+                                   derive_seed(train_cfg.seed, "swap"))
     result = train(training_data, train_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,8 +203,8 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     users_path = learned / "users_learned.csv"
     if users_path.exists():
         users_eval = read_matrix_csv(users_path, expect_cols=dataset.dim)
-    params = AffinityParams(alpha=cfg.get("alpha", dataset.alpha),
-                            epsilon=cfg.get("epsilon", TrainConfig.epsilon))
+    train_cfg = _train_config(dataset, cfg)
+    params = AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon)
     report = evaluate(dataset, items_hat, params, users_eval=users_eval)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,19 +215,13 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
 
 
 def _sweep_points(cfg: dict) -> list[tuple[str, float]]:
-    points = []
-    for param, key in (
-        ("epsilon", "epsilon_values"),
-        ("gauss_rho", "gauss_rho_values"),
-        ("swap_rho", "swap_rho_values"),
-    ):
-        points.extend((param, float(v)) for v in cfg.get(key, []))
+    points = [(param, value) for param in _SWEEP_PARAMS for value in cfg[f"{param}_values"]]
     if not points:
         raise ConfigError(
             "sweep needs a non-empty grid: set epsilon_values, "
             "gauss_rho_values or swap_rho_values"
         )
-    if cfg.get("repeats", 1) < 1:
+    if cfg["repeats"] < 1:
         raise ConfigError("repeats must be at least 1")
     return points
 
@@ -239,26 +232,12 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
     run_seed = derive_seed(master_seed, param, grid_index, repeat)
     try:
         noise_seed = derive_seed(master_seed, param, grid_index, repeat, "noise")
-        training_data = dataset
-        users_eval = None
-        overrides = {"seed": run_seed}
-        if param == "epsilon":
-            overrides["epsilon"] = value
-        elif param == "gauss_rho":
-            if value > 0:
-                users = apply_gaussian_noise(dataset.users, value, noise_seed)
-                training_data = dataclasses.replace(dataset, users=users)
-                users_eval = users
-        elif param == "swap_rho":
-            if value > 0:
-                matching = apply_swap_noise(dataset.matching, value, noise_seed)
-                training_data = dataclasses.replace(dataset, matching=matching)
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
-        train_cfg = config_from(TrainConfig, cfg, **overrides)
+        cell = {**cfg, "gauss_rho": 0.0, "swap_rho": 0.0, param: value}
+        training_data = _noisy_dataset(dataset, cell["gauss_rho"], cell["swap_rho"],
+                                       noise_seed, noise_seed)
+        train_cfg = _train_config(dataset, cell, seed=run_seed)
         result = train(training_data, train_cfg)
-        if result.users is not None:
-            users_eval = result.users
+        users_eval = result.users if result.users is not None else training_data.users
         # score against the original (uncorrupted) matching
         report = evaluate(
             dataset,
@@ -284,16 +263,15 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
     dataset = load_dataset(bundle_dir)
     points = _sweep_points(cfg)
-    repeats = cfg.get("repeats", 1)
-    master_seed = cfg.get("seed", 0)
+    master_seed = cfg.get("seed", TrainConfig.seed)
     tasks = [
         (dataset, cfg, param, gi, value, rep, master_seed)
         for gi, (param, value) in enumerate(points)
-        for rep in range(repeats)
+        for rep in range(cfg["repeats"])
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
+            rows = list(pool.map(run_sweep_point, *zip(*tasks)))
     else:
         rows = [run_sweep_point(*task) for task in tasks]
     rows.sort(key=lambda r: (r.grid_param, r.grid_value, r.repeat))
@@ -303,10 +281,6 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
     failures = sum(1 for r in rows if r.error)
     _info(quiet, f"sweep: {len(rows)} runs, {failures} failed; wrote {out / 'sweep.csv'}")
     return rows, failures
-
-
-def _sweep_worker(task) -> SweepRow:
-    return run_sweep_point(*task)
 
 
 def run_plot(results_dir, out_dir, quiet: bool = False) -> list[Path]:

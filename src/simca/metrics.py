@@ -9,6 +9,9 @@ from .assignment import round_coupling
 from .model import AffinityParams, Dataset, as_matrix, compute_affinity
 from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
+# marginal error at which evaluate's transport solve stops, within solve_ot's iteration cap
+EVAL_TOL = 1e-10
+
 
 def f1_scores(truth, pred, m: int) -> tuple[float, float, np.ndarray]:
     """Per-item F1 from the m-class confusion counts.
@@ -56,18 +59,11 @@ class EvalReport:
     cross_entropy: float
 
 
-def evaluate(
-    dataset: Dataset,
-    items_hat,
-    params: AffinityParams,
-    users_eval=None,
-    tol: float = 1e-10,
-    max_iterations: int = 10_000,
-) -> EvalReport:
+def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=None) -> EvalReport:
     """Score learned item embeddings by re-deriving the allocation.
 
     Recomputes the affinity matrix with ``users_eval`` (the dataset's users by
-    default), solves the regularized transport problem to tolerance, rounds
+    default), solves the regularized transport problem to ``EVAL_TOL``, rounds
     the coupling to a hard matching via the LAP, and compares it to the
     dataset's observed matching. This is the entry check for learned arrays:
     ``items_hat`` must be a finite (m, d) matrix and ``users_eval`` a finite
@@ -79,7 +75,7 @@ def evaluate(
         users = _learned(users_eval, "users_eval", (dataset.n_users, dataset.dim))
     affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
-    result = solve_ot(inst, tol=tol, max_iterations=max_iterations)
+    result = solve_ot(inst, tol=EVAL_TOL)
     coupling = result.user_coupling
     predicted = round_coupling(coupling, dataset.capacities)
     micro, macro, per_item = f1_scores(dataset.matching, predicted, dataset.n_items)

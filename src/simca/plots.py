@@ -174,12 +174,8 @@ def render_sweep_chart(rows: list[SweepRow]) -> str:
         sub = [r for r in ok if r.grid_param == param]
         values = sorted({r.grid_value for r in sub})
         xlog = param == "epsilon" and min(values) > 0
-        if xlog:
-            xlim = (min(values), max(values))
-            xticks = values
-        else:
-            xlim = (min(values), max(values))
-            xticks = values if len(values) <= 7 else _linear_ticks(*xlim)
+        xlim = (min(values), max(values))
+        xticks = values if xlog or len(values) <= 7 else _linear_ticks(*xlim)
         ys = [r.final_f1_micro for r in sub]
         ylim = _bounds(ys)
         panel = _Panel(idx * PANEL_W, f"F1 vs {param}", param, "final F1 (micro)",

@@ -43,10 +43,6 @@ class OtInstance:
     epsilon: float
     n_users: int
 
-    @property
-    def has_slack(self) -> bool:
-        return self.affinity.shape[0] == self.n_users + 1
-
 
 def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     """Build a balanced instance; appends a zero-affinity virtual user when

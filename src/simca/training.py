@@ -172,6 +172,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         pi = result.user_coupling
 
         loss = cross_entropy_loss(sigma, pi)
+        if not math.isfinite(loss):
+            raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
         grad_items = loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)
         grad_users = None
         grad_sq = float(np.sum(grad_items**2))

@@ -33,7 +33,7 @@ def test_matrix_csv_error_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValueError, match="line 2"):
-        read_matrix_csv(path)
+        read_matrix_csv(path, expect_cols=2)
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="line 2"):
         read_matrix_csv(path, expect_cols=2)

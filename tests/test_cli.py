@@ -221,6 +221,30 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial == parallel
 
 
+def test_alpha_defaults_to_the_bundle(tmp_path):
+    # the observed matching is the optimum at the bundle's alpha, so a config
+    # without alpha must train, score and sweep at that alpha, not at 0.3
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(write_config(tmp_path, {"alpha": 0.6})),
+          "--out", str(bundle), "--quiet"])
+    grid = {"epochs": 3, "epsilon_values": [0.2], "gauss_rho_values": [0.3],
+            "swap_rho_values": [0.2]}
+    outputs = []
+    for label, extra in (("set", {"alpha": 0.6}), ("unset", {})):
+        cfg = {key: value for key, value in SMALL_CONFIG.items() if key != "alpha"}
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({**cfg, **grid, **extra}))
+        run, ev, sweep = (tmp_path / f"{label}-{step}" for step in ("run", "eval", "sweep"))
+        for argv in (["train", "--bundle", str(bundle), "--out", str(run)],
+                     ["evaluate", "--bundle", str(bundle), "--learned", str(run),
+                      "--out", str(ev)],
+                     ["sweep", "--bundle", str(bundle), "--out", str(sweep)]):
+            assert main([*argv, "--config", str(path), "--quiet"]) == 0
+        outputs.append([(run / "history.csv").read_bytes(), (ev / "eval.json").read_bytes(),
+                        (sweep / "sweep.csv").read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
 def test_swap_noise_config_changes_training_signal(tmp_path):
     config = write_config(tmp_path, {"epochs": 3})
     noisy_config = write_config(tmp_path, {"epochs": 3, "swap_rho": 0.4}, name="noisy.json")

@@ -8,7 +8,7 @@ from simca.sinkhorn import entropy, extend_with_slack, ot_value, solve_ot
 def test_extend_without_surplus_is_identity():
     M = np.arange(6, dtype=float).reshape(3, 2)
     inst = extend_with_slack(M, np.array([2, 1]), 0.5)
-    assert not inst.has_slack
+    assert inst.affinity.shape[0] == inst.n_users
     assert np.array_equal(inst.affinity, M)
     assert np.array_equal(inst.row_masses, np.ones(3))
 
@@ -16,7 +16,7 @@ def test_extend_without_surplus_is_identity():
 def test_extend_appends_virtual_row():
     M = np.ones((2, 2))
     inst = extend_with_slack(M, np.array([2, 1]), 0.5)
-    assert inst.has_slack
+    assert inst.affinity.shape[0] == inst.n_users + 1
     assert inst.affinity.shape == (3, 2)
     assert np.array_equal(inst.affinity[2], np.zeros(2))
     assert np.array_equal(inst.row_masses, [1.0, 1.0, 1.0])
@@ -27,7 +27,7 @@ def test_extend_surplus_mass_for_unbalanced_capacities():
     # 1000 users against capacities summing to 1030 leaves 30 units of slack
     caps = np.array([257, 417, 356])
     inst = extend_with_slack(np.zeros((1000, 3)), caps, 0.1)
-    assert inst.has_slack
+    assert inst.affinity.shape[0] == inst.n_users + 1
     assert inst.row_masses[-1] == pytest.approx(30.0)
 
 

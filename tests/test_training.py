@@ -200,7 +200,8 @@ def test_diverging_run_fails_loudly():
     # an absurd step size overflows the embeddings; the run must stop with an
     # error instead of logging NaN epochs
     ds = _toy_dataset(n=30)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="diverged at epoch"):
         train(ds, TrainConfig(seed=0, epochs=5, learning_rate=1.7e308))
 
 
