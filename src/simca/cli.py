@@ -261,6 +261,8 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
 
 def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dataset = load_dataset(bundle_dir)
     points = _sweep_points(cfg)
     master_seed = cfg.get("seed", TrainConfig.seed)

@@ -8,7 +8,10 @@ H(pi) = -sum pi_ij (log pi_ij - 1). The optimum factors as
 
 and is found by alternating row/column scalings. Everything runs in the log
 domain with log-sum-exp reductions; the plain multiplicative form overflows
-for small epsilon.
+for small epsilon. The reductions are arranged for speed without changing a
+bit of the plain loop's output: each shift (the max) comes from an
+items-major copy of the kernel, while every sum keeps the kernel's own layout
+and so numpy's summation order (see ``solve_ot``).
 
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
@@ -21,12 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    amax = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,18 @@ def solve_ot(
     column scalings (defaults to zeros). Under tolerance mode a run that
     exhausts ``max_iterations`` returns with ``converged=False`` rather than
     raising.
+
+    Each log-sum-exp takes its shift (the max) from ``log_kt``, an
+    items-major copy of ``log_k``: a max is exact in any order, and there it
+    reduces along the long axis. The subtract, ``exp`` and sum run on
+    ``log_k`` in its own layout, since summing in another order would change
+    the bits. Tolerance mode screens each iterate with the row log-sum-exp
+    that the next row update needs anyway, which gives the row sums as
+    ``exp(log_a + lse_row)``. Only a screen within ``2 * tol`` builds the
+    coupling for the exact row and column errors, and that exact check alone
+    decides the stop. The two row-sum formulas differ by rounding alone
+    (under 1e-12 at a slack mass of 2,000), so above that a screen hides no
+    stop that the exact check would make.
     """
     if (iterations is None) == (tol is None):
         raise ValueError("specify exactly one of iterations or tol")
@@ -110,9 +119,28 @@ def solve_ot(
     if limit < 1:
         raise ValueError("iterations and max_iterations must be at least 1")
     log_k = inst.affinity / inst.epsilon
+    log_kt = np.ascontiguousarray(log_k.T)
     log_r = np.log(inst.row_masses)
     log_c = np.log(inst.col_masses)
     log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
+    buf = np.empty_like(log_k)
+    buf_t = np.empty_like(log_kt)
+
+    def row_lse(log_b):
+        shift = np.add(log_kt, log_b[:, None], out=buf_t).max(axis=0)
+        np.add(log_k, log_b, out=buf)
+        np.subtract(buf, shift[:, None], out=buf)
+        out = np.log(np.exp(buf, out=buf).sum(axis=1))
+        out += shift
+        return out
+
+    def col_lse(log_a):
+        shift = np.add(log_kt, log_a, out=buf_t).max(axis=1)
+        np.add(log_a[:, None], log_k, out=buf)
+        np.subtract(buf, shift, out=buf)
+        out = np.log(np.exp(buf, out=buf).sum(axis=0))
+        out += shift
+        return out
 
     def coupling_and_error() -> tuple[np.ndarray, float]:
         pi = np.exp(log_a[:, None] + log_k + log_b[None, :])
@@ -120,15 +148,18 @@ def solve_ot(
         col_err = np.max(np.abs(pi.sum(axis=0) - inst.col_masses))
         return pi, float(max(row_err, col_err))
 
+    lse_row = row_lse(log_b)
     for done in range(1, limit + 1):
-        log_a = log_r - _logsumexp(log_k + log_b[None, :], axis=1)
-        log_b = log_c - _logsumexp(log_a[:, None] + log_k, axis=0)
-        if tol is not None:
+        log_a = log_r - lse_row
+        log_b = log_c - col_lse(log_a)
+        if done == limit:
+            pi, error = coupling_and_error()
+            break
+        lse_row = row_lse(log_b)
+        if tol is not None and np.max(np.abs(np.exp(log_a + lse_row) - inst.row_masses)) <= 2 * tol:
             pi, error = coupling_and_error()
             if error <= tol:
                 break
-    if tol is None:
-        pi, error = coupling_and_error()
     return SinkhornResult(
         coupling=pi,
         log_a=log_a,

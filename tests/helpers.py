@@ -5,7 +5,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from simca.model import compute_affinity
-from simca.sinkhorn import extend_with_slack, solve_ot
+from simca.sinkhorn import SinkhornResult, extend_with_slack, solve_ot
 from simca.training import cross_entropy_loss, matching_with_slack
 
 
@@ -49,6 +49,58 @@ def slot_expanded_lap(scores, caps):
     assign = np.empty(M.shape[0], dtype=np.int64)
     assign[rows] = slot_item[cols]
     return assign
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    amax = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
+    return out
+
+
+def reference_solve_ot(
+    inst,
+    iterations=None,
+    tol=None,
+    max_iterations=10_000,
+    log_b_init=None,
+) -> SinkhornResult:
+    """Bit-for-bit oracle for ``simca.sinkhorn.solve_ot``: the plain Sinkhorn
+    loop, one log-sum-exp per half step on ``log_k``'s own layout and the
+    exact coupling and marginal errors built on every tolerance iteration."""
+    if (iterations is None) == (tol is None):
+        raise ValueError("specify exactly one of iterations or tol")
+    limit = iterations if tol is None else max_iterations
+    if limit < 1:
+        raise ValueError("iterations and max_iterations must be at least 1")
+    log_k = inst.affinity / inst.epsilon
+    log_r = np.log(inst.row_masses)
+    log_c = np.log(inst.col_masses)
+    log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
+
+    def coupling_and_error():
+        pi = np.exp(log_a[:, None] + log_k + log_b[None, :])
+        row_err = np.max(np.abs(pi.sum(axis=1) - inst.row_masses))
+        col_err = np.max(np.abs(pi.sum(axis=0) - inst.col_masses))
+        return pi, float(max(row_err, col_err))
+
+    for done in range(1, limit + 1):
+        log_a = log_r - _logsumexp(log_k + log_b[None, :], axis=1)
+        log_b = log_c - _logsumexp(log_a[:, None] + log_k, axis=0)
+        if tol is not None:
+            pi, error = coupling_and_error()
+            if error <= tol:
+                break
+    if tol is None:
+        pi, error = coupling_and_error()
+    return SinkhornResult(
+        coupling=pi,
+        log_a=log_a,
+        log_b=log_b,
+        iterations=done,
+        marginal_error=error,
+        converged=tol is None or error <= tol,
+        n_users=inst.n_users,
+    )
 
 
 def converged_coupling(affinity, caps, epsilon, tol=1e-12):

@@ -195,6 +195,17 @@ def test_sweep_requires_grid(tmp_path):
     assert code == 1
 
 
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
+    config = write_config(tmp_path, {"epsilon_values": [0.1], "repeats": 1, "epochs": 1})
+    for jobs in ("0", "-4"):
+        out = tmp_path / f"sweep{jobs}"
+        code = main(["sweep", "--bundle", str(tmp_path / "bundle"), "--config", str(config),
+                     "--out", str(out), "--jobs", jobs, "--quiet"])
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     # a nonpositive epsilon fails at run level and lands in the error column
     config = write_config(tmp_path, {"epsilon_values": [0.1, -1.0], "repeats": 1, "epochs": 2})

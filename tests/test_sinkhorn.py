@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import projected_gradient_ot
+from helpers import projected_gradient_ot, reference_solve_ot
 from simca.sinkhorn import entropy, extend_with_slack, ot_value, solve_ot
 
 
@@ -186,3 +190,53 @@ def test_stopping_mode_is_exclusive():
         solve_ot(inst, iterations=0)
     with pytest.raises(ValueError, match="at least 1"):
         solve_ot(inst, tol=1e-8, max_iterations=0)
+
+
+def _assert_same_bits(fast, slow):
+    for f in dataclasses.fields(fast):
+        a, b = getattr(fast, f.name), getattr(slow, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(1, 40))
+    extra = draw(st.integers(1, 6)) if draw(st.booleans()) else 0  # slack row
+    m = draw(st.integers(1, min(12, n + extra)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    caps = 1 + rng.multinomial(n + extra - m, np.full(m, 1.0 / m))
+    affinity = draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])) * rng.normal(size=(n, m))
+    epsilon = float(np.exp(draw(st.floats(np.log(0.002), np.log(2.0)))))
+    log_b_init = rng.normal(size=m) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        stop = {"iterations": draw(st.integers(1, 15))}
+    else:
+        stop = {"tol": draw(st.sampled_from([1e-6, 1e-10])),
+                "max_iterations": draw(st.sampled_from([1, 2, 7, 10_000]))}
+    return extend_with_slack(affinity, caps, epsilon), log_b_init, stop
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_matches_reference_loop_bit_for_bit(case):
+    # m >= 8 reaches numpy's pairwise row sums, whose order the kernel must keep
+    inst, log_b_init, stop = case
+    _assert_same_bits(solve_ot(inst, log_b_init=log_b_init, **stop),
+                      reference_solve_ot(inst, log_b_init=log_b_init, **stop))
+
+
+def test_reference_loop_edge_stops():
+    # a constant affinity converges at the first iteration
+    inst = extend_with_slack(np.full((5, 3), 2.5), np.array([2, 2, 3]), 0.7)
+    fast = solve_ot(inst, tol=1e-10)
+    assert fast.iterations == 1 and fast.converged
+    _assert_same_bits(fast, reference_solve_ot(inst, tol=1e-10))
+    # a small epsilon hits the cap unconverged
+    M = 5.0 * np.random.default_rng(11).normal(size=(30, 10))
+    inst = extend_with_slack(M, np.full(10, 4), 0.01)
+    fast = solve_ot(inst, tol=1e-10, max_iterations=50)
+    assert fast.iterations == 50 and not fast.converged
+    _assert_same_bits(fast, reference_solve_ot(inst, tol=1e-10, max_iterations=50))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import converged_coupling, random_instance, slack_extended_loss
-from simca.model import compute_affinity, matching_matrix
+import simca.metrics
+import simca.training
+from helpers import converged_coupling, random_instance, reference_solve_ot, slack_extended_loss
+from simca.metrics import evaluate
+from simca.model import AffinityParams, compute_affinity, matching_matrix
 from simca.sinkhorn import ot_value
 from simca.training import (
     AdamState,
@@ -243,3 +246,20 @@ def test_loss_is_convex_along_segments():
         lam = float(rng.choice([0.25, 0.5, 0.75]))
         mid = loss(lam * va + (1 - lam) * vb)
         assert mid <= lam * loss(va) + (1 - lam) * loss(vb) + 1e-8
+
+
+def test_train_and_evaluate_match_the_reference_solver(monkeypatch):
+    # m=10 reaches numpy's pairwise row sums inside every Sinkhorn reduction
+    ds = generate_dataset(GenConfig(n=200, m=10, d=2, k=3, alpha=0.3, seed=4))
+    configs = [TrainConfig(seed=3, epochs=30), TrainConfig(seed=3, epochs=30, joint_users=True)]
+    runs = [train(ds, cfg) for cfg in configs]
+    reports = [evaluate(ds, runs[0].items, AffinityParams(0.3, eps)) for eps in (0.1, 0.01)]
+    monkeypatch.setattr(simca.training, "solve_ot", reference_solve_ot)
+    monkeypatch.setattr(simca.metrics, "solve_ot", reference_solve_ot)
+    for cfg, fast in zip(configs, runs):
+        slow = train(ds, cfg)
+        assert fast.history == slow.history
+        assert np.array_equal(fast.items, slow.items)
+        assert (fast.users is None and slow.users is None) or np.array_equal(fast.users, slow.users)
+    for eps, fast in zip((0.1, 0.01), reports):
+        assert fast == evaluate(ds, runs[0].items, AffinityParams(0.3, eps))
