@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_matrix
+from .model import as_matrix, check_capacities
 
 # enumeration guard for the brute-force oracle
 MAX_BRUTE_FORCE_MATCHINGS = 10**7
@@ -32,30 +32,16 @@ class LapSolution:
     objective: float
 
 
-def _check_instance(scores, caps):
-    M = as_matrix(scores, "scores")
-    raw = np.asarray(caps)
-    if not np.issubdtype(raw.dtype, np.integer) and np.any(raw != np.round(raw)):
-        raise ValueError("capacities must be integers")
-    caps = raw.astype(np.int64)
-    if caps.ndim != 1 or len(caps) != M.shape[1]:
-        raise ValueError(f"capacities length {caps.shape} does not match {M.shape[1]} items")
-    if np.any(caps < 0):
-        raise ValueError("capacities must be nonnegative")
-    if int(caps.sum()) < M.shape[0]:
-        raise ValueError(
-            f"infeasible: total capacity {int(caps.sum())} < {M.shape[0]} users"
-        )
-    return M, caps
-
-
 def solve_lap(scores, caps) -> LapSolution:
     """Maximize sum_i scores[i, sigma(i)] over matchings with per-item counts <= caps.
 
     When total capacity equals the number of users every capacity is used
     exactly; otherwise the surplus capacity stays empty. Optimality is exact.
+    The inputs are checked on every call: the excess drain never ends on NaN
+    scores, which an overflowing affinity produces from finite embeddings.
     """
-    M, caps = _check_instance(scores, caps)
+    M = as_matrix(scores, "scores")
+    caps = check_capacities(caps, *M.shape)
     n = M.shape[0]
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=len(caps))
@@ -167,7 +153,8 @@ def brute_force_lap(scores, caps) -> LapSolution:
     """Exhaustive-enumeration optimum; ties go to the lexicographically
     smallest assignment vector. Guarded against instances with more than
     ``MAX_BRUTE_FORCE_MATCHINGS`` feasible matchings."""
-    M, caps = _check_instance(scores, caps)
+    M = as_matrix(scores, "scores")
+    caps = check_capacities(caps, *M.shape)
     n, m = M.shape
     total = count_feasible_matchings(n, caps)
     if total > MAX_BRUTE_FORCE_MATCHINGS:

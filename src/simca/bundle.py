@@ -22,7 +22,7 @@ import numpy as np
 
 from .datagen import GenConfig
 from .metrics import EvalReport
-from .model import Dataset
+from .model import Dataset, as_matrix
 from .training import EpochRecord
 
 
@@ -37,7 +37,8 @@ def write_matrix_csv(path: Path, values: np.ndarray) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def read_matrix_csv(path: Path, expect_cols: int) -> np.ndarray:
+def read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
+    """Read a headerless CSV matrix of ``shape``; a None row count matches any."""
     rows = []
     with open(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -45,9 +46,9 @@ def read_matrix_csv(path: Path, expect_cols: int) -> np.ndarray:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != expect_cols:
+            if len(parts) != shape[1]:
                 raise ValueError(
-                    f"{path}, line {lineno}: expected {expect_cols} columns, got {len(parts)}"
+                    f"{path}, line {lineno}: expected {shape[1]} columns, got {len(parts)}"
                 )
             try:
                 rows.append([float(p) for p in parts])
@@ -55,7 +56,7 @@ def read_matrix_csv(path: Path, expect_cols: int) -> np.ndarray:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    return np.asarray(rows, dtype=np.float64)
+    return as_matrix(rows, str(path), shape)
 
 
 def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None) -> Path:
@@ -100,49 +101,33 @@ def load_dataset(bundle_dir) -> Dataset:
     for key in ("n", "m", "d", "alpha", "seed", "capacities"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
-    n, m, d = int(meta["n"]), int(meta["m"]), int(meta["d"])
-    users = read_matrix_csv(bundle / "users.csv", expect_cols=d)
-    if users.shape[0] != n:
-        raise ValueError(f"{bundle / 'users.csv'}: expected {n} rows, got {users.shape[0]}")
-    distances = read_matrix_csv(bundle / "distances.csv", expect_cols=m)
-    if distances.shape[0] != n:
-        raise ValueError(
-            f"{bundle / 'distances.csv'}: expected {n} rows, got {distances.shape[0]}"
-        )
-    items_truth = None
+    users = read_matrix_csv(bundle / "users.csv", (meta["n"], meta["d"]))
+    n, d = users.shape
+    distances = read_matrix_csv(bundle / "distances.csv", (n, meta["m"]))
+    m = distances.shape[1]
     truth_path = bundle / "items_truth.csv"
-    if truth_path.exists():
-        items_truth = read_matrix_csv(truth_path, expect_cols=d)
-        if items_truth.shape[0] != m:
-            raise ValueError(f"{truth_path}: expected {m} rows, got {items_truth.shape[0]}")
-    matching = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    items_truth = read_matrix_csv(truth_path, (m, d)) if truth_path.exists() else None
+    # item indices and capacities go to Dataset uncast, so its checks see them as written
     match_path = bundle / "matching.csv"
-    with open(match_path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{match_path}, line {lineno}: expected 'user,item'")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{match_path}, line {lineno}: non-integer entry") from None
-            if not 0 <= i < n:
-                raise ValueError(f"{match_path}, line {lineno}: user index {i} out of range")
-            if seen[i]:
-                raise ValueError(f"{match_path}, line {lineno}: duplicate user {i}")
-            seen[i] = True
-            matching[i] = j
-    if not seen.all():
-        raise ValueError(f"{match_path}: {int((~seen).sum())} users have no assignment")
+    pairs = read_matrix_csv(match_path, (None, 2))
+    who = pairs[:, 0]
+    if np.any(who != np.round(who)):
+        raise ValueError(f"{match_path}: non-integer user index")
+    if np.any((who < 0) | (who >= n)):
+        raise ValueError(f"{match_path}: user index out of range [0, {n})")
+    who = who.astype(np.int64)
+    count = np.bincount(who, minlength=n)
+    if np.any(count > 1):
+        raise ValueError(f"{match_path}: duplicate user {int(np.argmax(count > 1))}")
+    if len(who) < n:
+        raise ValueError(f"{match_path}: {n - len(who)} users have no assignment")
+    matching = np.empty(n)
+    matching[who] = pairs[:, 1]
     return Dataset(
         users=users,
         items_truth=items_truth,
         distances=distances,
-        capacities=np.asarray(meta["capacities"], dtype=np.int64),
+        capacities=meta["capacities"],
         matching=matching,
         alpha=float(meta["alpha"]),
         seed=int(meta["seed"]),

@@ -160,9 +160,10 @@ def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
                    gauss_seed: int, swap_seed: int) -> Dataset:
     """The training inputs: the users with gaussian noise and the matching with swap noise."""
     out = dataset
-    if gauss_rho > 0:
+    # a zero level leaves the data as is; any other level goes through the noise range check
+    if gauss_rho != 0:
         out = dataclasses.replace(out, users=apply_gaussian_noise(out.users, gauss_rho, gauss_seed))
-    if swap_rho > 0:
+    if swap_rho != 0:
         out = dataclasses.replace(out, matching=apply_swap_noise(out.matching, swap_rho, swap_seed))
     return out
 
@@ -198,11 +199,11 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     items_path = learned / "items_learned.csv"
     if not items_path.exists():
         raise FileNotFoundError(f"missing learned embeddings: {items_path}")
-    items_hat = read_matrix_csv(items_path, expect_cols=dataset.dim)
+    items_hat = read_matrix_csv(items_path, (None, dataset.dim))
     users_eval = None
     users_path = learned / "users_learned.csv"
     if users_path.exists():
-        users_eval = read_matrix_csv(users_path, expect_cols=dataset.dim)
+        users_eval = read_matrix_csv(users_path, (None, dataset.dim))
     train_cfg = _train_config(dataset, cfg)
     params = AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon)
     report = evaluate(dataset, items_hat, params, users_eval=users_eval)

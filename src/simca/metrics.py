@@ -43,13 +43,6 @@ def mean_embedding_distance(learned, truth) -> float:
     return float(np.mean(np.linalg.norm(learned - truth, axis=1)))
 
 
-def _learned(values, name: str, shape: tuple[int, int]) -> np.ndarray:
-    arr = as_matrix(values, name)
-    if arr.shape != shape:
-        raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class EvalReport:
     f1_micro: float
@@ -69,10 +62,10 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
     ``items_hat`` must be a finite (m, d) matrix and ``users_eval`` a finite
     (n, d) one.
     """
-    items_hat = _learned(items_hat, "items_hat", (dataset.n_items, dataset.dim))
+    items_hat = as_matrix(items_hat, "items_hat", (dataset.n_items, dataset.dim))
     users = dataset.users
     if users_eval is not None:
-        users = _learned(users_eval, "users_eval", (dataset.n_users, dataset.dim))
+        users = as_matrix(users_eval, "users_eval", (dataset.n_users, dataset.dim))
     affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
     result = solve_ot(inst, tol=EVAL_TOL)

@@ -18,40 +18,47 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+def as_matrix(values, name: str, shape=None) -> np.ndarray:
+    """Coerce to a finite 2-D float64 array of ``shape``; a None shape, or a
+    None entry in it, matches any size."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if shape is not None and any(w is not None and w != g for w, g in zip(shape, arr.shape)):
+        raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def check_capacities(caps, n: int | None = None) -> np.ndarray:
-    """Validate an integer capacity vector; with ``n`` require total capacity >= n."""
-    arr = np.asarray(caps)
-    if arr.ndim != 1:
-        raise ValueError("capacities must be a vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.round(arr)):
-            raise ValueError("capacities must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    if np.any(arr < 1):
-        raise ValueError("every capacity must be at least 1")
-    if n is not None and int(arr.sum()) < n:
-        raise ValueError(f"total capacity {int(arr.sum())} is less than the number of users {n}")
+def _integer_vector(values, name: str, length: int) -> np.ndarray:
+    """Int64 copy of a numeric vector of ``length`` integers; integer-valued floats in the
+    int64 range pass."""
+    arr = np.asarray(values)
+    if arr.shape != (length,):
+        raise ValueError(f"{name} shape {arr.shape} does not match ({length},)")
+    kind = arr.dtype.kind
+    whole_floats = kind == "f" and np.all((abs(arr) < 2.0**63) & (arr == np.round(arr)))
+    if kind not in "iu" and not whole_floats:
+        raise ValueError(f"{name} must be integers")
+    return arr.astype(np.int64)
+
+
+def check_capacities(caps, n: int, m: int) -> np.ndarray:
+    """The capacity check of every entry point: m nonnegative integers that
+    hold the n users. Zero capacities pass; ``Dataset`` alone requires >= 1."""
+    arr = _integer_vector(caps, "capacities", m)
+    if (arr < 0).any():
+        raise ValueError("capacities must be nonnegative")
+    total = int(arr.sum())
+    if total < n:
+        raise ValueError(f"infeasible: total capacity {total} < {n} users")
     return arr
 
 
-def check_matching(assign, caps) -> np.ndarray:
-    """Validate a hard assignment vector against item capacities."""
-    arr = np.asarray(assign, dtype=np.int64)
-    caps = np.asarray(caps, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("matching must be a vector of item indices")
+def check_matching(assign, caps, n: int) -> np.ndarray:
+    """Validate a hard assignment of n users against checked item capacities."""
+    arr = _integer_vector(assign, "matching", n)
     m = len(caps)
     if np.any(arr < 0) or np.any(arr >= m):
         raise ValueError("matching contains an out-of-range item index")
@@ -102,18 +109,15 @@ class Dataset:
 
     def __post_init__(self):
         users = as_matrix(self.users, "users")
-        distances = as_matrix(self.distances, "distances")
+        n, d = users.shape
+        distances = as_matrix(self.distances, "distances", (n, None))
+        m = distances.shape[1]
         if np.any(distances < 0):
             raise ValueError("distances must be nonnegative")
-        caps = check_capacities(self.capacities, n=users.shape[0])
-        matching = check_matching(self.matching, caps)
-        n, m = distances.shape
-        if users.shape[0] != n:
-            raise ValueError(f"users has {users.shape[0]} rows, distances has {n}")
-        if len(caps) != m:
-            raise ValueError(f"capacities has {len(caps)} items, distances has {m}")
-        if len(matching) != n:
-            raise ValueError(f"matching has {len(matching)} entries, expected {n}")
+        caps = check_capacities(self.capacities, n, m)
+        if np.any(caps < 1):
+            raise ValueError("every capacity must be at least 1")
+        matching = check_matching(self.matching, caps, n)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         object.__setattr__(self, "users", users)
@@ -121,11 +125,7 @@ class Dataset:
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "matching", matching)
         if self.items_truth is not None:
-            truth = as_matrix(self.items_truth, "items_truth")
-            if truth.shape != (m, users.shape[1]):
-                raise ValueError(
-                    f"items_truth shape {truth.shape} does not match ({m}, {users.shape[1]})"
-                )
+            truth = as_matrix(self.items_truth, "items_truth", (m, d))
             object.__setattr__(self, "items_truth", truth)
 
     @property

@@ -24,10 +24,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _linear_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 class _Panel:
@@ -97,12 +98,12 @@ class _Panel:
         if pts:
             self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
 
-    def scatter(self, xs, ys, color: str, radius: float = 2.5) -> None:
+    def scatter(self, xs, ys, color: str) -> None:
         for x, y in zip(xs, ys):
             if math.isfinite(y):
                 self.parts.append(
                     f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" '
-                    f'r="{radius}" fill="{color}" fill-opacity="0.55"/>'
+                    f'r="2.5" fill="{color}" fill-opacity="0.55"/>'
                 )
 
     def legend(self, labels_colors: list[tuple[str, str]]) -> None:

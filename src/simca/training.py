@@ -26,6 +26,9 @@ from .metrics import f1_scores, mean_embedding_distance
 from .model import Dataset, compute_affinity, matching_matrix
 from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -68,22 +71,15 @@ class AdamState:
         return cls(first_moment=np.zeros(shape), second_moment=np.zeros(shape))
 
 
-def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    adam_eps: float = 1e-8,
-) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
+              lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns new parameters and state."""
     t = state.step + 1
-    m = beta1 * state.first_moment + (1 - beta1) * grad
-    v = beta2 * state.second_moment + (1 - beta2) * grad * grad
-    m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + adam_eps)
+    m = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(first_moment=m, second_moment=v, step=t)
 
 

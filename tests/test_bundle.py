@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
     values = rng.normal(size=(7, 3)) * np.exp(rng.normal(size=(7, 3)) * 5)
     path = tmp_path / "m.csv"
     write_matrix_csv(path, values)
-    back = read_matrix_csv(path, expect_cols=3)
+    back = read_matrix_csv(path, (7, 3))
     assert np.array_equal(values, back)
 
 
@@ -33,10 +34,10 @@ def test_matrix_csv_error_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValueError, match="line 2"):
-        read_matrix_csv(path, expect_cols=2)
+        read_matrix_csv(path, (None, 2))
     path.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="line 2"):
-        read_matrix_csv(path, expect_cols=2)
+        read_matrix_csv(path, (None, 2))
 
 
 def test_dataset_bundle_roundtrip(tmp_path):
@@ -72,6 +73,36 @@ def test_load_rejects_missing_and_malformed(tmp_path):
         load_dataset(bundle)
     matching.write_text("\n".join(f"{i},0" for i in range(9)) + "\n")
     with pytest.raises(ValueError, match="no assignment"):
+        load_dataset(bundle)
+
+
+def test_load_rejects_fractional_capacities(tmp_path):
+    # capacities reach Dataset as written: 22.7 is rejected, not truncated to 22
+    cfg = GenConfig(n=10, m=2, d=2, k=2, seed=1)
+    bundle = save_dataset(generate_dataset(cfg), tmp_path / "bundle", gen_config=cfg)
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["capacities"] = [c + 0.7 for c in meta["capacities"]]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="capacities must be integers"):
+        load_dataset(bundle)
+
+
+@pytest.mark.parametrize("last_line, message", [
+    ("0,0", "duplicate user 0"),
+    ("9.5,0", "non-integer user"),
+    ("10,0", "out of range"),
+    ("-1,0", "out of range"),
+    ("9,0.5", "matching must be integers"),
+], ids=["duplicate-user", "fractional-user", "user-too-large", "negative-user",
+        "fractional-item"])
+def test_load_rejects_malformed_matching(tmp_path, last_line, message):
+    cfg = GenConfig(n=10, m=2, d=2, k=2, seed=1)
+    bundle = save_dataset(generate_dataset(cfg), tmp_path / "bundle", gen_config=cfg)
+    matching = bundle / "matching.csv"
+    lines = matching.read_text().splitlines()
+    assert lines[-1].startswith("9,")
+    matching.write_text("\n".join(lines[:-1] + [last_line]) + "\n")
+    with pytest.raises(ValueError, match=message):
         load_dataset(bundle)
 
 

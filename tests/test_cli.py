@@ -256,6 +256,47 @@ def test_alpha_defaults_to_the_bundle(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_train_rejects_fractional_bundle_capacities(tmp_path, capsys):
+    # fractional bundle capacities are a validation error, not truncated
+    config = write_config(tmp_path, {"epochs": 2})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta["capacities"] = [c + 0.7 for c in meta["capacities"]]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    code = main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 1
+    assert "capacities must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", [{"gauss_rho": -0.5}, {"swap_rho": -3.0}])
+def test_train_rejects_negative_noise(tmp_path, capsys, noise):
+    # only a zero level skips the noise function, so a negative one meets its range check
+    config = write_config(tmp_path, {"epochs": 2, **noise})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    code = main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 1
+    assert "rho must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_sweep_negative_noise_cells_are_error_rows(tmp_path):
+    config = write_config(tmp_path, {"epochs": 2, "gauss_rho_values": [0.0, -0.5],
+                                     "swap_rho_values": [-3.0]})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 3
+    rows = load_sweep(out / "sweep.csv")
+    failed = {(r.grid_param, r.grid_value) for r in rows if r.error}
+    assert failed == {("gauss_rho", -0.5), ("swap_rho", -3.0)}
+    assert all("rho must lie in [0, 1]" in r.error for r in rows if r.error)
+
+
 def test_swap_noise_config_changes_training_signal(tmp_path):
     config = write_config(tmp_path, {"epochs": 3})
     noisy_config = write_config(tmp_path, {"epochs": 3, "swap_rho": 0.4}, name="noisy.json")

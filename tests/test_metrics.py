@@ -108,6 +108,15 @@ def test_evaluate_rejects_malformed_learned_arrays():
         evaluate(ds, ds.items_truth, params, users_eval=ds.users[:, :1])
 
 
+def test_evaluate_rejects_items_whose_affinity_overflows():
+    # finite items at 1.5e308 overflow the affinity, so the coupling reaching the
+    # LAP holds NaN; solve_lap's per-call check stops it (the excess drain would spin)
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
+    params = AffinityParams(alpha=ds.alpha, epsilon=0.2)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="contains non-finite"):
+        evaluate(ds, np.full((3, 2), 1.5e308), params)
+
+
 def test_evaluate_is_deterministic():
     ds = generate_dataset(GenConfig(n=30, m=2, d=2, k=2, seed=5))
     params = AffinityParams(alpha=ds.alpha, epsilon=0.2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simca.assignment import solve_lap
 from simca.model import (
     AffinityParams,
     Dataset,
@@ -141,3 +142,42 @@ def test_dataset_rejects_non_finite_inputs():
         with pytest.raises(ValueError, match=f"{name} contains non-finite"):
             Dataset(**arrays, capacities=np.array([2, 1]),
                     matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+
+
+@pytest.mark.parametrize("caps, message", [
+    ([1.5, 1.5], "capacities must be integers"),
+    ([1e20, 1.0], "capacities must be integers"),
+    (["a", "b"], "capacities must be integers"),
+    ([3], "capacities shape"),
+    ([[2, 1]], "capacities shape"),
+    ([4, -1], "nonnegative"),
+    ([1, 1], "infeasible"),
+], ids=["fractional", "beyond-int64", "non-numeric", "wrong-length", "2-d", "negative",
+        "infeasible"])
+def test_dataset_and_lap_share_one_capacity_check(caps, message):
+    users, distances = _small_dataset()
+    with pytest.raises(ValueError, match=message):
+        Dataset(users=users, distances=distances, capacities=caps,
+                matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+    with pytest.raises(ValueError, match=message):
+        solve_lap(np.zeros((3, 2)), caps)
+
+
+def test_zero_capacity_passes_the_lap_but_not_a_dataset():
+    assert np.array_equal(solve_lap(np.zeros((3, 2)), [3, 0]).matching, [0, 0, 0])
+    users, distances = _small_dataset()
+    with pytest.raises(ValueError, match="at least 1"):
+        Dataset(users=users, distances=distances, capacities=[3, 0],
+                matching=np.array([0, 0, 0]), alpha=0.3, seed=0)
+
+
+def test_dataset_rejects_fractional_matching():
+    users, distances = _small_dataset()
+    with pytest.raises(ValueError, match="matching must be integers"):
+        Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
+                matching=[0.9, 1.5, 0.2], alpha=0.3, seed=0)
+    # integer-valued floats are integers
+    ds = Dataset(users=users, distances=distances, capacities=[2.0, 1.0],
+                 matching=[0.0, 1.0, 0.0], alpha=0.3, seed=0)
+    assert np.array_equal(ds.matching, [0, 1, 0]) and ds.matching.dtype == np.int64
+    assert np.array_equal(ds.capacities, [2, 1]) and ds.capacities.dtype == np.int64
