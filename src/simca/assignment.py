@@ -5,10 +5,16 @@ score of a hard user->item matching. This is a transportation problem with
 n unit-supply users and m items, solved as a min-cost flow over the items:
 every user starts on its best item, and successive shortest paths with m
 item prices move the excess of over-full items to items with free capacity.
-Memory is O(n*m) and time O(n*m*log n + excess*m^2*log n), where the excess
-is the number of users the row argmax puts over capacity. Ties are broken
-deterministically; on fully tied inputs the result is the lexicographically
-smallest assignment vector, as for the brute-force oracle.
+
+When the row argmax leaves exactly one item over capacity and every other
+item strictly below it, each shortest path is a single move out of that
+item, so one sort of its users replaces those rounds until a destination
+fills; the rounds drain what excess is left. Memory is O(n*m) and time
+O(n*m + n*log n) in that regime, and O(n*m*log n + excess*m^2*log n)
+beyond it, where the excess is the number of users the row argmax puts over
+capacity. Ties are broken deterministically; on fully tied inputs the result
+is the lexicographically smallest assignment vector, as for the brute-force
+oracle.
 """
 from __future__ import annotations
 
@@ -46,13 +52,59 @@ def solve_lap(scores, caps) -> LapSolution:
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=len(caps))
     if np.any(counts > caps):
-        assign = _drain_excess(M, caps.tolist(), assign, counts.tolist())
+        prices = _sort_single_excess(M, caps, assign, counts)
+        if np.any(counts > caps):
+            assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
     objective = float(M[np.arange(n), assign].sum())
     return LapSolution(matching=assign, objective=objective)
 
 
-def _drain_excess(M, caps, assign, counts) -> np.ndarray:
-    """Successive shortest paths over the items, from the row-argmax start.
+def _sort_single_excess(M, caps, assign, counts) -> list:
+    """The rounds of ``_drain_excess`` while one item j alone is over
+    capacity and every other item is strictly below it, as one sort.
+
+    Each such round settles j, then the lowest-index item k with the
+    smallest key M[u, j] - M[u, k] over the users u on j; it moves the top
+    of heap (j, k) to k and raises only j's price, by that key minus the
+    price. So the users leave j in lexicographic order of their cheapest key,
+    their first cheapest destination and the heap tie rule, and the phase
+    ends when the excess is gone or after the move that fills a destination.
+    The sort compares the keys themselves; the rounds compare them less j's
+    price, where two keys near 2**53 can round to one value, so there the
+    sort keeps the exact order and the rounds may not.
+    Moves users in ``assign`` and ``counts`` in place and returns the item
+    prices the rounds would hold, all zero outside the regime.
+    """
+    m = len(caps)
+    prices = [0.0] * m
+    over = np.flatnonzero(counts > caps)
+    if len(over) != 1 or np.count_nonzero(counts < caps) != m - 1:
+        return prices
+    j = int(over[0])
+    users = np.flatnonzero(assign == j)
+    others = np.flatnonzero(np.arange(m) != j)
+    keys = M[users, j][:, None] - M[users][:, others]
+    best = np.argmin(keys, axis=1)
+    cost = keys[np.arange(len(users)), best]
+    dest = others[best]
+    ties = np.where(dest > j, -users, users)
+    order = np.lexsort((ties, dest, cost))[: counts[j] - caps[j]]
+    dest = dest[order]
+    seen = np.cumsum(dest[:, None] == np.arange(m), axis=0)[np.arange(len(dest)), dest]
+    filled = np.flatnonzero(seen == (caps - counts)[dest])
+    moves = filled[0] + 1 if len(filled) else len(dest)
+    assign[users[order[:moves]]] = dest[:moves]
+    counts[:] = np.bincount(assign, minlength=m)
+    price = 0.0
+    for c in cost[order[:moves]].tolist():
+        price += c - price  # the rounds' own arithmetic, so the prices carry on exactly
+    prices[j] = price
+    return prices
+
+
+def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
+    """Successive shortest paths over the items, from the row-argmax start
+    or from where ``_sort_single_excess`` stopped, with its prices.
 
     Every user sits on an item maximizing M[u, j] - prices[j]. Moving user u
     from j to k then has nonnegative reduced cost
@@ -68,6 +120,10 @@ def _drain_excess(M, caps, assign, counts) -> np.ndarray:
     user down to a smaller one, Dijkstra settles the lowest item first, and
     an equal-length path through a later-settled item wins, so excess
     cascades through consecutive items.
+
+    While one item alone is over capacity and every other item strictly
+    below it, the rounds are one sort, which ``_sort_single_excess`` runs
+    first in O(n*m + n*log n). Each round left costs O(m^2 * log n).
     """
     m = len(caps)
     where = assign.tolist()
@@ -89,7 +145,6 @@ def _drain_excess(M, caps, assign, counts) -> np.ndarray:
             heapq.heappop(heap)  # stale: the user has moved on
         return heap[0][0]
 
-    prices = [0.0] * m
     while True:
         dist = [0.0 if counts[j] > caps[j] else math.inf for j in range(m)]
         if min(dist) > 0.0:

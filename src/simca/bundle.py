@@ -107,7 +107,7 @@ def load_dataset(bundle_dir) -> Dataset:
     m = distances.shape[1]
     truth_path = bundle / "items_truth.csv"
     items_truth = read_matrix_csv(truth_path, (m, d)) if truth_path.exists() else None
-    # item indices and capacities go to Dataset uncast, so its checks see them as written
+    # item indices, capacities, alpha and seed go to Dataset uncast, so its checks see them as written
     match_path = bundle / "matching.csv"
     pairs = read_matrix_csv(match_path, (None, 2))
     who = pairs[:, 0]
@@ -129,8 +129,8 @@ def load_dataset(bundle_dir) -> Dataset:
         distances=distances,
         capacities=meta["capacities"],
         matching=matching,
-        alpha=float(meta["alpha"]),
-        seed=int(meta["seed"]),
+        alpha=meta["alpha"],
+        seed=meta["seed"],
     )
 
 

@@ -13,6 +13,7 @@ kernels take their inputs as given.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,13 @@ class Dataset:
         if np.any(caps < 1):
             raise ValueError("every capacity must be at least 1")
         matching = check_matching(self.matching, caps, n)
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        seed = int(_integer_vector([self.seed], "seed", 1)[0])
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "capacities", caps)

@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import slot_expanded_lap
 from simca.assignment import (
+    _drain_excess,
+    _sort_single_excess,
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
@@ -166,11 +168,11 @@ def test_small_epsilon_rounding_recovers_exact_optimum():
         )
 
 
-def _sinkhorn_coupling(ds, seed, iterations=10):
+def _sinkhorn_coupling(ds, seed, epsilon=0.1, iterations=10):
     # the coupling an early training epoch rounds: random items, 10 iterations
     items = np.random.default_rng(seed).normal(size=ds.items_truth.shape)
     affinity = compute_affinity(ds.users, items, ds.distances, ds.alpha)
-    inst = extend_with_slack(affinity, ds.capacities, 0.1)
+    inst = extend_with_slack(affinity, ds.capacities, epsilon)
     return solve_ot(inst, iterations=iterations).user_coupling
 
 
@@ -185,6 +187,83 @@ def test_matches_slot_expanded_oracle_on_generated_data(n):
         pi = _sinkhorn_coupling(ds, seed)
         expected = slot_expanded_lap(pi, ds.capacities)
         assert round_coupling(pi, ds.capacities).tobytes() == expected.tobytes()
+    # diffuse couplings put one item far over capacity: the sorted drain's regime
+    for epsilon in (0.5, 1.0, 2.0):
+        pi = _sinkhorn_coupling(ds, 0, epsilon)
+        over = np.bincount(pi.argmax(axis=1), minlength=ds.n_items) - ds.capacities
+        assert np.sum(over > 0) == 1 and over.max() >= 30 and np.sum(over < 0) == ds.n_items - 1
+        expected = slot_expanded_lap(pi, ds.capacities)
+        assert round_coupling(pi, ds.capacities).tobytes() == expected.tobytes()
+
+
+def test_sorted_drain_stops_at_a_full_item_and_the_rounds_finish():
+    # item 0 holds all four users and has room for one; the sort first moves
+    # user 2 to item 1, which fills it, so the rounds place users 0 and 1
+    M = np.array([[5.0, 4.0, 0.0], [5.0, 3.5, 4.0], [5.0, 4.5, 1.0], [6.0, 0.0, 0.0]])
+    caps = np.array([1, 1, 3])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=3)
+    prices = _sort_single_excess(M, caps, assign, counts)
+    assert np.array_equal(assign, [0, 0, 1, 0]) and np.array_equal(counts, [3, 1, 0])
+    assert prices == [0.5, 0.0, 0.0]
+    expected = brute_force_lap(M, caps)
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, expected.matching)
+    assert sol.objective == expected.objective
+
+
+def test_sorted_drain_orders_keys_that_round_together_after_the_price():
+    # after user 0 moves, j's price is 1; the keys 2**53 + 4 and 2**53 + 6 less
+    # that price round to one value, but the sort still sends user 1 to item 2
+    big = 2.0**53
+    M = np.array([[1.0, 0.0, -1e17], [0.0, -(big + 6), -(big + 4)]])
+    caps = np.array([0, 2, 2])
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, brute_force_lap(M, caps).matching)
+    assert np.array_equal(sol.matching, [1, 2])
+
+
+@st.composite
+def favoured_instances(draw):
+    """Scores with one item favoured, so the row argmax puts it alone over
+    capacity while every other item keeps room; continuous or integer-tied
+    scores, tight total capacity or slack."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(2, 5))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j = int(rng.integers(m))
+    if tied:
+        M = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+        M[:, j] += rng.integers(1, 3)
+    else:
+        M = rng.normal(size=(n, m))
+        M[:, j] += rng.uniform(0.5, 3.0)
+    counts = np.bincount(M.argmax(axis=1), minlength=m)
+    assume(counts[j] >= m - 1)
+    excess = int(rng.integers(m - 1, counts[j] + 1))
+    others = np.flatnonzero(np.arange(m) != j)
+    caps = counts.copy()
+    caps[j] -= excess
+    caps[others] += 1 + rng.multinomial(excess - (m - 1), np.full(m - 1, 1.0 / (m - 1)))
+    if draw(st.booleans()):
+        caps[rng.choice(others)] += int(rng.integers(1, 4))  # slack
+    return M, caps, tied
+
+
+@settings(max_examples=300, deadline=None)
+@given(favoured_instances())
+def test_sorted_drain_matches_the_rounds_and_slot_expanded_oracle(instance):
+    M, caps, tied = instance
+    m = len(caps)
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=m)
+    assert np.sum(counts > caps) == 1 and np.sum(counts < caps) == m - 1
+    rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * m)
+    matching = solve_lap(M, caps).matching
+    assert matching.tobytes() == rounds.tobytes()
+    if not tied:  # the oracle breaks ties its own way
+        assert matching.tobytes() == slot_expanded_lap(M, caps).tobytes()
 
 
 @st.composite

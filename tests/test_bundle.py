@@ -87,6 +87,21 @@ def test_load_rejects_fractional_capacities(tmp_path):
         load_dataset(bundle)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 7.9, "seed must be integers"),
+    ("alpha", "0.3", "alpha must be a number"),
+], ids=["fractional-seed", "string-alpha"])
+def test_load_rejects_malformed_seed_and_alpha(tmp_path, key, value, message):
+    # seed and alpha reach Dataset as written: 7.9 is not truncated to 7, "0.3" not parsed
+    cfg = GenConfig(n=10, m=2, d=2, k=2, seed=1)
+    bundle = save_dataset(generate_dataset(cfg), tmp_path / "bundle", gen_config=cfg)
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta[key] = value
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(bundle)
+
+
 @pytest.mark.parametrize("last_line, message", [
     ("0,0", "duplicate user 0"),
     ("9.5,0", "non-integer user"),

@@ -270,6 +270,23 @@ def test_train_rejects_fractional_bundle_capacities(tmp_path, capsys):
     assert "capacities must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 7.9, "seed must be integers"),
+    ("alpha", "0.3", "alpha must be a number"),
+], ids=["fractional-seed", "string-alpha"])
+def test_train_rejects_malformed_bundle_seed_and_alpha(tmp_path, capsys, key, value, message):
+    config = write_config(tmp_path, {"epochs": 2})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta[key] = value
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    code = main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise", [{"gauss_rho": -0.5}, {"swap_rho": -3.0}])
 def test_train_rejects_negative_noise(tmp_path, capsys, noise):
     # only a zero level skips the noise function, so a negative one meets its range check

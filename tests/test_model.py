@@ -163,6 +163,28 @@ def test_dataset_and_lap_share_one_capacity_check(caps, message):
         solve_lap(np.zeros((3, 2)), caps)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 7.9, "seed must be integers"),
+    ("seed", "7", "seed must be integers"),
+    ("seed", True, "seed must be integers"),
+    ("alpha", "0.3", "alpha must be a number"),
+    ("alpha", True, "alpha must be a number"),
+    ("alpha", None, "alpha must be a number"),
+], ids=["fractional-seed", "string-seed", "bool-seed", "string-alpha", "bool-alpha",
+        "missing-alpha"])
+def test_dataset_rejects_malformed_seed_and_alpha(field, value, message):
+    users, distances = _small_dataset()
+    fields = {"alpha": 0.3, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=message):
+        Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
+                matching=np.array([0, 1, 0]), **fields)
+    # integer-valued numbers pass, as Python int and float
+    ds = Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
+                 matching=np.array([0, 1, 0]), alpha=1, seed=7.0)
+    assert type(ds.seed) is int and ds.seed == 7
+    assert type(ds.alpha) is float and ds.alpha == 1.0
+
+
 def test_zero_capacity_passes_the_lap_but_not_a_dataset():
     assert np.array_equal(solve_lap(np.zeros((3, 2)), [3, 0]).matching, [0, 0, 0])
     users, distances = _small_dataset()
