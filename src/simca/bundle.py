@@ -1,9 +1,9 @@
 """On-disk formats: dataset bundles, training history, sweep results.
 
 A dataset bundle is a directory holding ``meta.json`` (sizes, alpha, seed,
-capacities, generator settings), headerless CSV matrices (``users.csv``,
-``distances.csv``, optional ``items_truth.csv``) and ``matching.csv`` with
-one ``user,item`` row per user. Result tables (``history.csv``,
+capacities, and a generated bundle's ``GenConfig`` fields) and headerless CSV
+matrices: ``users.csv``, ``distances.csv``, optional ``items_truth.csv`` and
+``matching.csv`` with one ``user,item`` row per user, in any order. Result tables (``history.csv``,
 ``sweep.csv``) hold one row per record under a header of the record's field
 names. Reals are written with 17 significant digits so a reload reproduces
 the float64 values bit for bit.
@@ -26,15 +26,12 @@ from .model import Dataset, as_matrix
 from .training import EpochRecord
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# 17 significant digits: enough for a float64 to reload bit for bit
+_FLOAT_FMT = "%.17g"
 
 
 def write_matrix_csv(path: Path, values: np.ndarray) -> None:
-    arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    with open(path, "w", newline="") as fh:
-        for row in arr:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    np.savetxt(path, values, fmt=_FLOAT_FMT, delimiter=",")
 
 
 def read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
@@ -63,7 +60,9 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
     """Write a dataset bundle; returns the bundle directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    generator = dataclasses.asdict(gen_config) if gen_config is not None else {}
     meta = {
+        **generator,
         "n": dataset.n_users,
         "m": dataset.n_items,
         "d": dataset.dim,
@@ -72,11 +71,6 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
         "capacities": [int(c) for c in dataset.capacities],
         "has_items_truth": dataset.items_truth is not None,
     }
-    if gen_config is not None:
-        meta["k"] = gen_config.k
-        meta["cluster_spread"] = gen_config.cluster_spread
-        meta["dirichlet_conc"] = gen_config.dirichlet_conc
-        meta["extra_spots_per_item"] = gen_config.extra_spots_per_item
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -84,9 +78,8 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
     write_matrix_csv(out / "distances.csv", dataset.distances)
     if dataset.items_truth is not None:
         write_matrix_csv(out / "items_truth.csv", dataset.items_truth)
-    with open(out / "matching.csv", "w", newline="") as fh:
-        for i, j in enumerate(dataset.matching):
-            fh.write(f"{i},{int(j)}\n")
+    write_matrix_csv(out / "matching.csv",
+                     np.column_stack([np.arange(dataset.n_users), dataset.matching]))
     return out
 
 
@@ -110,25 +103,15 @@ def load_dataset(bundle_dir) -> Dataset:
     # item indices, capacities, alpha and seed go to Dataset uncast, so its checks see them as written
     match_path = bundle / "matching.csv"
     pairs = read_matrix_csv(match_path, (None, 2))
-    who = pairs[:, 0]
-    if np.any(who != np.round(who)):
-        raise ValueError(f"{match_path}: non-integer user index")
-    if np.any((who < 0) | (who >= n)):
-        raise ValueError(f"{match_path}: user index out of range [0, {n})")
-    who = who.astype(np.int64)
-    count = np.bincount(who, minlength=n)
-    if np.any(count > 1):
-        raise ValueError(f"{match_path}: duplicate user {int(np.argmax(count > 1))}")
-    if len(who) < n:
-        raise ValueError(f"{match_path}: {n - len(who)} users have no assignment")
-    matching = np.empty(n)
-    matching[who] = pairs[:, 1]
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    if not np.array_equal(pairs[:, 0], np.arange(n)):
+        raise ValueError(f"{match_path}: the user column must hold each of 0..{n - 1} once")
     return Dataset(
         users=users,
         items_truth=items_truth,
         distances=distances,
         capacities=meta["capacities"],
-        matching=matching,
+        matching=pairs[:, 1],
         alpha=meta["alpha"],
         seed=meta["seed"],
     )
@@ -143,7 +126,7 @@ def _save_records(records: list, cls: type, path) -> None:
         writer.writerow(names)
         for rec in records:
             writer.writerow([
-                _fmt(getattr(rec, name)) if hints[name] is float else getattr(rec, name)
+                _FLOAT_FMT % getattr(rec, name) if hints[name] is float else getattr(rec, name)
                 for name in names
             ])
 

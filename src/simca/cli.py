@@ -210,6 +210,9 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_eval_report(report, out / "eval.json")
+    if not report.converged:
+        print(f"warning: the transport solve did not converge in "
+              f"{report.sinkhorn_iterations} iterations", file=sys.stderr)
     _info(quiet, f"evaluation: F1 micro {report.f1_micro:.4f}, "
                  f"macro {report.f1_macro:.4f}")
     return out
@@ -289,21 +292,19 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
 def run_plot(results_dir, out_dir, quiet: bool = False) -> list[Path]:
     results = Path(results_dir)
     out = Path(out_dir)
-    written = []
-    history_path = results / "history.csv"
-    sweep_path = results / "sweep.csv"
-    if not history_path.exists() and not sweep_path.exists():
+    # built per call, so the loaders are looked up by name when the plot runs
+    charts = [
+        (results / "history.csv", load_history, render_training_chart, "training.svg"),
+        (results / "sweep.csv", load_sweep, render_sweep_chart, "sweep.svg"),
+    ]
+    present = [chart for chart in charts if chart[0].exists()]
+    if not present:
         raise ConfigError(f"nothing to plot: no history.csv or sweep.csv in {results}")
     out.mkdir(parents=True, exist_ok=True)
-    if history_path.exists():
-        svg = render_training_chart(load_history(history_path))
-        target = out / "training.svg"
-        target.write_text(svg)
-        written.append(target)
-    if sweep_path.exists():
-        svg = render_sweep_chart(load_sweep(sweep_path))
-        target = out / "sweep.svg"
-        target.write_text(svg)
+    written = []
+    for path, load, render, svg_name in present:
+        target = out / svg_name
+        target.write_text(render(load(path)))
         written.append(target)
     _info(quiet, "wrote " + ", ".join(str(p) for p in written))
     return written

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .model import Dataset, compute_affinity
+from .model import Dataset, check_alpha, compute_affinity
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class GenConfig:
             raise ValueError("need m <= n")
         if self.d < 1:
             raise ValueError("need d >= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        check_alpha(self.alpha)
         if self.cluster_spread <= 0:
             raise ValueError("cluster_spread must be positive")
         if self.dirichlet_conc <= 0:

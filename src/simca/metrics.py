@@ -50,6 +50,9 @@ class EvalReport:
     per_item_f1: list[float]
     mean_embed_dist: float | None
     cross_entropy: float
+    # whether the transport solve met EVAL_TOL within its iteration cap
+    converged: bool
+    sinkhorn_iterations: int
 
 
 def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=None) -> EvalReport:
@@ -58,9 +61,10 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
     Recomputes the affinity matrix with ``users_eval`` (the dataset's users by
     default), solves the regularized transport problem to ``EVAL_TOL``, rounds
     the coupling to a hard matching via the LAP, and compares it to the
-    dataset's observed matching. This is the entry check for learned arrays:
-    ``items_hat`` must be a finite (m, d) matrix and ``users_eval`` a finite
-    (n, d) one.
+    dataset's observed matching. A solve that hits the iteration cap is
+    reported, not raised: ``converged`` is False. This is the entry check for
+    learned arrays: ``items_hat`` must be a finite (m, d) matrix and
+    ``users_eval`` a finite (n, d) one.
     """
     items_hat = as_matrix(items_hat, "items_hat", (dataset.n_items, dataset.dim))
     users = dataset.users
@@ -81,4 +85,6 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
         per_item_f1=[float(x) for x in per_item],
         mean_embed_dist=dist,
         cross_entropy=cross_entropy_loss(dataset.matching, coupling),
+        converged=result.converged,
+        sinkhorn_iterations=result.iterations,
     )

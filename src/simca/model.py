@@ -13,6 +13,7 @@ kernels take their inputs as given.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,6 +44,15 @@ def _integer_vector(values, name: str, length: int) -> np.ndarray:
     if kind not in "iu" and not whole_floats:
         raise ValueError(f"{name} must be integers")
     return arr.astype(np.int64)
+
+
+def check_alpha(alpha) -> float:
+    """The alpha check of every entry point: a number, not a bool, in [0, 1]."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    return float(alpha)
 
 
 def check_capacities(caps, n: int, m: int) -> np.ndarray:
@@ -86,8 +96,9 @@ class AffinityParams:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        check_alpha(self.alpha)
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
@@ -119,12 +130,9 @@ class Dataset:
         if np.any(caps < 1):
             raise ValueError("every capacity must be at least 1")
         matching = check_matching(self.matching, caps, n)
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        alpha = check_alpha(self.alpha)
         seed = int(_integer_vector([self.seed], "seed", 1)[0])
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "distances", distances)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
-from .model import Dataset, compute_affinity, matching_matrix
+from .model import AffinityParams, Dataset, compute_affinity, matching_matrix
 from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -43,13 +43,9 @@ class TrainConfig:
     joint_users: bool = False
 
     def __post_init__(self):
-        for name in ("epsilon", "learning_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        AffinityParams(self.alpha, self.epsilon)
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_iters must be at least 1")
         if self.learning_rate <= 0:

@@ -52,6 +52,10 @@ def test_dataset_bundle_roundtrip(tmp_path):
     assert np.array_equal(back.matching, ds.matching)
     assert back.alpha == ds.alpha
     assert back.seed == ds.seed
+    # the user column, not the row order, places each item: shuffled rows load the same
+    lines = (bundle / "matching.csv").read_text().splitlines()
+    (bundle / "matching.csv").write_text("\n".join(reversed(lines)) + "\n")
+    assert np.array_equal(load_dataset(bundle).matching, ds.matching)
 
 
 def test_bundle_bytes_are_deterministic(tmp_path):
@@ -72,7 +76,12 @@ def test_load_rejects_missing_and_malformed(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_dataset(bundle)
     matching.write_text("\n".join(f"{i},0" for i in range(9)) + "\n")
-    with pytest.raises(ValueError, match="no assignment"):
+    with pytest.raises(ValueError, match="must hold each of 0..9 once"):
+        load_dataset(bundle)
+    meta = json.loads((bundle / "meta.json").read_text())
+    del meta["capacities"]
+    (bundle / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="missing key 'capacities'"):
         load_dataset(bundle)
 
 
@@ -103,10 +112,10 @@ def test_load_rejects_malformed_seed_and_alpha(tmp_path, key, value, message):
 
 
 @pytest.mark.parametrize("last_line, message", [
-    ("0,0", "duplicate user 0"),
-    ("9.5,0", "non-integer user"),
-    ("10,0", "out of range"),
-    ("-1,0", "out of range"),
+    ("0,0", "must hold each of 0..9 once"),
+    ("9.5,0", "must hold each of 0..9 once"),
+    ("10,0", "must hold each of 0..9 once"),
+    ("-1,0", "must hold each of 0..9 once"),
     ("9,0.5", "matching must be integers"),
 ], ids=["duplicate-user", "fractional-user", "user-too-large", "negative-user",
         "fractional-item"])
@@ -198,10 +207,12 @@ def test_result_files_have_pinned_bytes(tmp_path):
         b'swap_rho,0.20000000000000001,1,456,nan,nan,nan,nan,"ValueError: boom, bad"\r\n'
     )
     save_eval_report(EvalReport(f1_micro=0.9, f1_macro=2 / 3, per_item_f1=[1.0, 0.5],
-                                mean_embed_dist=None, cross_entropy=12.25),
+                                mean_embed_dist=None, cross_entropy=12.25,
+                                converged=False, sinkhorn_iterations=10_000),
                      tmp_path / "eval.json")
     assert (tmp_path / "eval.json").read_text() == (
-        '{\n  "cross_entropy": 12.25,\n  "f1_macro": 0.6666666666666666,\n'
-        '  "f1_micro": 0.9,\n  "mean_embed_dist": null,\n'
-        '  "per_item_f1": [\n    1.0,\n    0.5\n  ]\n}\n'
+        '{\n  "converged": false,\n  "cross_entropy": 12.25,\n'
+        '  "f1_macro": 0.6666666666666666,\n  "f1_micro": 0.9,\n'
+        '  "mean_embed_dist": null,\n  "per_item_f1": [\n    1.0,\n    0.5\n  ],\n'
+        '  "sinkhorn_iterations": 10000\n}\n'
     )

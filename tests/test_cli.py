@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from simca.bundle import load_history, load_sweep
+from simca.bundle import load_dataset, load_history, load_sweep, read_matrix_csv
 from simca.cli import (
     ConfigError,
     config_from,
@@ -15,6 +15,8 @@ from simca.cli import (
     validate_config,
 )
 from simca.datagen import GenConfig
+from simca.metrics import evaluate
+from simca.model import AffinityParams
 from simca.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -67,6 +69,19 @@ def test_config_dataclasses_roundtrip_through_the_schema():
         validate_config({"sinkhorn_warm_start": True})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "must be a JSON object"),
+    ("{not json", "invalid JSON"),
+], ids=["not-an-object", "not-json"])
+def test_config_must_be_a_json_object(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code = main(["generate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_names_path(tmp_path, capsys):
     code = main(["generate", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "out")])
@@ -93,7 +108,8 @@ def test_generate_train_evaluate_plot_pipeline(tmp_path):
                  "--config", str(config), "--out", str(eval_dir), "--quiet"]) == 0
     report = json.loads((eval_dir / "eval.json").read_text())
     assert set(report) == {"f1_micro", "f1_macro", "per_item_f1",
-                           "mean_embed_dist", "cross_entropy"}
+                           "mean_embed_dist", "cross_entropy", "converged",
+                           "sinkhorn_iterations"}
 
     plots = tmp_path / "plots"
     assert main(["plot", "--results", str(run_dir), "--out", str(plots), "--quiet"]) == 0
@@ -108,6 +124,65 @@ def test_joint_mode_writes_users(tmp_path):
     assert main(["train", "--bundle", str(bundle), "--config", str(config),
                  "--out", str(run_dir), "--quiet"]) == 0
     assert (run_dir / "users_learned.csv").exists()
+
+
+def test_evaluate_scores_the_learned_users(tmp_path):
+    config = write_config(tmp_path, {"joint_users": True, "epochs": 4})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    run_dir = tmp_path / "run"
+    main(["train", "--bundle", str(bundle), "--config", str(config),
+          "--out", str(run_dir), "--quiet"])
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--config", str(config), "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+    dataset = load_dataset(bundle)
+    items = read_matrix_csv(run_dir / "items_learned.csv", (3, 2))
+    users = read_matrix_csv(run_dir / "users_learned.csv", (40, 2))
+    params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
+    report = json.loads((tmp_path / "eval" / "eval.json").read_text())
+    assert report == asdict(evaluate(dataset, items, params, users_eval=users))
+    assert report != asdict(evaluate(dataset, items, params))
+
+
+def test_pipeline_without_true_items(tmp_path):
+    # real observations carry no generating items: distances are NaN in the
+    # history and null in eval.json, and the plot still renders
+    config = write_config(tmp_path)
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    (bundle / "items_truth.csv").unlink()
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(run_dir), "--quiet"]) == 0
+    history = load_history(run_dir / "history.csv")
+    assert len(history) == SMALL_CONFIG["epochs"]
+    assert all(np.isnan(r.mean_embed_dist) for r in history)
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--config", str(config), "--out", str(eval_dir), "--quiet"]) == 0
+    assert json.loads((eval_dir / "eval.json").read_text())["mean_embed_dist"] is None
+    assert main(["plot", "--results", str(run_dir), "--out", str(tmp_path / "plots"),
+                 "--quiet"]) == 0
+    assert (tmp_path / "plots" / "training.svg").exists()
+
+
+@pytest.mark.parametrize("epsilon, converged", [(0.002, False), (0.01, True)],
+                         ids=["hits-the-cap", "converges"])
+def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, epsilon, converged):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 30, "m": 3, "k": 2, "seed": 1,
+                                  "extra_spots_per_item": 1, "epsilon": epsilon}))
+    bundle, learned = tmp_path / "bundle", tmp_path / "learned"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    learned.mkdir()
+    (learned / "items_learned.csv").write_bytes((bundle / "items_truth.csv").read_bytes())
+    capsys.readouterr()
+    # an unconverged solve is reported, not an error: the exit code stays 0
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(learned),
+                 "--config", str(config), "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+    report = json.loads((tmp_path / "eval" / "eval.json").read_text())
+    assert report["converged"] is converged
+    warned = "did not converge in 10000 iterations" in capsys.readouterr().err
+    assert warned is not converged
 
 
 def test_zero_epochs_writes_initialization(tmp_path):
@@ -184,6 +259,9 @@ def test_sweep_rows_and_ordering(tmp_path):
     assert [r.repeat for r in rows] == [0, 1, 2]
     assert len({r.seed for r in rows}) == 3
     assert all(r.grid_param == "epsilon" and not r.error for r in rows)
+    plots = tmp_path / "plots"
+    assert main(["plot", "--results", str(out), "--out", str(plots), "--quiet"]) == 0
+    assert sorted(p.name for p in plots.iterdir()) == ["sweep.svg"]
 
 
 def test_sweep_requires_grid(tmp_path):

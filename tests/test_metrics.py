@@ -58,6 +58,21 @@ def test_mean_embedding_distance():
         mean_embedding_distance(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("epsilon, converged", [(0.002, False), (0.01, True)],
+                         ids=["hits-the-cap", "converges"])
+def test_evaluate_reports_its_solve(epsilon, converged):
+    # at small epsilon the solve to EVAL_TOL needs more than the 10k-iteration
+    # cap; the report says so and still scores the capped coupling
+    ds = generate_dataset(GenConfig(n=30, m=3, k=2, seed=1, extra_spots_per_item=1))
+    report = evaluate(ds, ds.items_truth, AffinityParams(alpha=ds.alpha, epsilon=epsilon))
+    assert report.converged is converged
+    if converged:
+        assert report.sinkhorn_iterations < 10_000
+    else:
+        assert report.sinkhorn_iterations == 10_000
+    assert report.f1_micro == 1.0
+
+
 def test_evaluating_the_generating_model_is_perfect():
     # rounding the regularized coupling reproduces the exact matching once
     # epsilon is small against the instance's optimality margins

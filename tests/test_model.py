@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from simca.assignment import solve_lap
+from simca.datagen import GenConfig
 from simca.model import (
     AffinityParams,
     Dataset,
     compute_affinity,
     matching_matrix,
 )
+from simca.training import TrainConfig
 
 
 def test_alpha_one_affinity_is_negated_distance():
@@ -98,6 +102,42 @@ def test_affinity_params_validation():
         AffinityParams(alpha=-0.1, epsilon=0.1)
     with pytest.raises(ValueError):
         AffinityParams(alpha=0.5, epsilon=0.0)
+
+
+def _dataset_with(alpha=0.3):
+    users, distances = _small_dataset()
+    return Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
+                   matching=np.array([0, 1, 0]), alpha=alpha, seed=0)
+
+
+# every class that takes alpha, and the two that take epsilon, apply one rule each
+_ALPHA_CLASSES = {
+    "GenConfig": lambda alpha: GenConfig(alpha=alpha),
+    "AffinityParams": lambda alpha: AffinityParams(alpha=alpha, epsilon=0.1),
+    "TrainConfig": lambda alpha: TrainConfig(alpha=alpha),
+    "Dataset": _dataset_with,
+}
+_EPSILON_CLASSES = {
+    "AffinityParams": lambda epsilon: AffinityParams(alpha=0.3, epsilon=epsilon),
+    "TrainConfig": lambda epsilon: TrainConfig(epsilon=epsilon),
+}
+
+
+@pytest.mark.parametrize("build, value, message", [
+    *[pytest.param(build, value, message, id=f"{name}-alpha-{label}")
+      for name, build in _ALPHA_CLASSES.items()
+      for label, value, message in (("bool", True, "alpha must be a number"),
+                                    ("string", "0.3", "alpha must be a number"),
+                                    ("1.5", 1.5, r"alpha must lie in \[0, 1\]"))],
+    *[pytest.param(build, value, message, id=f"{name}-epsilon-{label}")
+      for name, build in _EPSILON_CLASSES.items()
+      for label, value, message in (("inf", math.inf, "epsilon must be finite"),
+                                    ("nan", math.nan, "epsilon must be finite"),
+                                    ("0", 0.0, "epsilon must be positive"))],
+])
+def test_one_alpha_rule_and_one_epsilon_rule(build, value, message):
+    with pytest.raises(ValueError, match=message):
+        build(value)
 
 
 def _small_dataset():
