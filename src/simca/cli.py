@@ -211,8 +211,8 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     out.mkdir(parents=True, exist_ok=True)
     save_eval_report(report, out / "eval.json")
     if not report.converged:
-        print(f"warning: the transport solve did not converge in "
-              f"{report.sinkhorn_iterations} iterations", file=sys.stderr)
+        print(f"warning: the transport solve did not reach its tolerance after "
+              f"{report.sinkhorn_iterations} Newton steps", file=sys.stderr)
     _info(quiet, f"evaluation: F1 micro {report.f1_micro:.4f}, "
                  f"macro {report.f1_macro:.4f}")
     return out

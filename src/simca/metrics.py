@@ -7,9 +7,9 @@ import numpy as np
 
 from .assignment import round_coupling
 from .model import AffinityParams, Dataset, as_matrix, compute_affinity
-from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
+from .sinkhorn import extend_with_slack, matched_cross_entropy, solve_ot
 
-# marginal error at which evaluate's transport solve stops, within solve_ot's iteration cap
+# marginal error at which evaluate's transport solve stops, within solve_ot's step cap
 EVAL_TOL = 1e-10
 
 
@@ -50,7 +50,7 @@ class EvalReport:
     per_item_f1: list[float]
     mean_embed_dist: float | None
     cross_entropy: float
-    # whether the transport solve met EVAL_TOL within its iteration cap
+    # whether the transport solve met EVAL_TOL, and the Newton steps it took
     converged: bool
     sinkhorn_iterations: int
 
@@ -61,10 +61,11 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
     Recomputes the affinity matrix with ``users_eval`` (the dataset's users by
     default), solves the regularized transport problem to ``EVAL_TOL``, rounds
     the coupling to a hard matching via the LAP, and compares it to the
-    dataset's observed matching. A solve that hits the iteration cap is
-    reported, not raised: ``converged`` is False. This is the entry check for
-    learned arrays: ``items_hat`` must be a finite (m, d) matrix and
-    ``users_eval`` a finite (n, d) one.
+    dataset's observed matching. A solve that stops short of ``EVAL_TOL``,
+    at its step cap or stalled, is reported, not raised: ``converged`` is
+    False. ``cross_entropy`` comes from the solve's log-domain potentials.
+    This is the entry check for learned arrays: ``items_hat`` must be a
+    finite (m, d) matrix and ``users_eval`` a finite (n, d) one.
     """
     items_hat = as_matrix(items_hat, "items_hat", (dataset.n_items, dataset.dim))
     users = dataset.users
@@ -84,7 +85,7 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
         f1_macro=macro,
         per_item_f1=[float(x) for x in per_item],
         mean_embed_dist=dist,
-        cross_entropy=cross_entropy_loss(dataset.matching, coupling),
+        cross_entropy=matched_cross_entropy(inst, result, dataset.matching),
         converged=result.converged,
         sinkhorn_iterations=result.iterations,
     )

@@ -46,10 +46,17 @@ def _integer_vector(values, name: str, length: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def check_number(value, name: str, integer: bool = False):
+    """The type rule of every numeric setting: a real number (an integer when
+    ``integer`` is set), not a bool."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 def check_alpha(alpha) -> float:
     """The alpha check of every entry point: a number, not a bool, in [0, 1]."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    check_number(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     return float(alpha)
@@ -97,6 +104,7 @@ class AffinityParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        check_number(self.epsilon, "epsilon")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
         if not self.epsilon > 0.0:

@@ -6,7 +6,9 @@ cross-entropy between the observed hard matching and the soft coupling:
 
     L(V) = -sum_i log pi[i, sigma(i)]
 
-whose gradient in the item embeddings has the closed form
+with each log pi taken from the solve's log-domain potentials, so the loss
+stays finite where pi itself underflows at small epsilon. Its gradient in the
+item embeddings has the closed form
 
     grad V_j = ((1 - alpha) / epsilon) * sum_i (pi - sigma)[i, j] * U_i
 
@@ -23,8 +25,9 @@ import numpy as np
 
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
-from .model import AffinityParams, Dataset, compute_affinity, matching_matrix
-from .sinkhorn import cross_entropy_loss, extend_with_slack, solve_ot
+from .model import AffinityParams, Dataset, check_number, compute_affinity, matching_matrix
+# cross_entropy_loss stays importable here for the tests and perfbench's tracer
+from .sinkhorn import cross_entropy_loss, extend_with_slack, matched_cross_entropy, solve_ot  # noqa: F401
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -44,6 +47,9 @@ class TrainConfig:
 
     def __post_init__(self):
         AffinityParams(self.alpha, self.epsilon)
+        check_number(self.learning_rate, "learning_rate")
+        check_number(self.sinkhorn_iters, "sinkhorn_iters", integer=True)
+        check_number(self.epochs, "epochs", integer=True)
         if not math.isfinite(self.learning_rate):
             raise ValueError("learning_rate must be finite")
         if self.sinkhorn_iters < 1:
@@ -163,7 +169,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         log_b_carry = result.log_b
         pi = result.user_coupling
 
-        loss = cross_entropy_loss(sigma, pi)
+        loss = matched_cross_entropy(inst, result, sigma)
         if not math.isfinite(loss):
             raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
         grad_items = loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)

@@ -64,9 +64,11 @@ def reference_solve_ot(
     max_iterations=10_000,
     log_b_init=None,
 ) -> SinkhornResult:
-    """Bit-for-bit oracle for ``simca.sinkhorn.solve_ot``: the plain Sinkhorn
-    loop, one log-sum-exp per half step on ``log_k``'s own layout and the
-    exact coupling and marginal errors built on every tolerance iteration."""
+    """Oracle for ``simca.sinkhorn.solve_ot``: the plain Sinkhorn loop, one
+    log-sum-exp per half step on ``log_k``'s own layout and the exact
+    coupling and marginal errors built on every tolerance iteration. With
+    ``iterations`` it matches ``solve_ot`` bit for bit; with ``tol`` it
+    solves the same problem by another method, for agreement checks."""
     if (iterations is None) == (tol is None):
         raise ValueError("specify exactly one of iterations or tol")
     limit = iterations if tol is None else max_iterations

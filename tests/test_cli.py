@@ -1,9 +1,11 @@
+import functools
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import simca.metrics
 from simca.bundle import load_dataset, load_history, load_sweep, read_matrix_csv
 from simca.cli import (
     ConfigError,
@@ -17,6 +19,7 @@ from simca.cli import (
 from simca.datagen import GenConfig
 from simca.metrics import evaluate
 from simca.model import AffinityParams
+from simca.sinkhorn import solve_ot
 from simca.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -165,12 +168,14 @@ def test_pipeline_without_true_items(tmp_path):
     assert (tmp_path / "plots" / "training.svg").exists()
 
 
-@pytest.mark.parametrize("epsilon, converged", [(0.002, False), (0.01, True)],
+@pytest.mark.parametrize("cap, converged", [(2, False), (None, True)],
                          ids=["hits-the-cap", "converges"])
-def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, epsilon, converged):
+def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, monkeypatch, cap, converged):
+    if cap is not None:
+        monkeypatch.setattr(simca.metrics, "solve_ot", functools.partial(solve_ot, max_iterations=cap))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 30, "m": 3, "k": 2, "seed": 1,
-                                  "extra_spots_per_item": 1, "epsilon": epsilon}))
+                                  "extra_spots_per_item": 1, "epsilon": 0.002}))
     bundle, learned = tmp_path / "bundle", tmp_path / "learned"
     main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
     learned.mkdir()
@@ -181,7 +186,7 @@ def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, epsilon, c
                  "--config", str(config), "--out", str(tmp_path / "eval"), "--quiet"]) == 0
     report = json.loads((tmp_path / "eval" / "eval.json").read_text())
     assert report["converged"] is converged
-    warned = "did not converge in 10000 iterations" in capsys.readouterr().err
+    warned = "did not reach its tolerance after 2 Newton steps" in capsys.readouterr().err
     assert warned is not converged
 
 

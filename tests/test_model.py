@@ -131,7 +131,9 @@ _EPSILON_CLASSES = {
                                     ("1.5", 1.5, r"alpha must lie in \[0, 1\]"))],
     *[pytest.param(build, value, message, id=f"{name}-epsilon-{label}")
       for name, build in _EPSILON_CLASSES.items()
-      for label, value, message in (("inf", math.inf, "epsilon must be finite"),
+      for label, value, message in (("bool", True, "epsilon must be a number"),
+                                    ("string", "0.1", "epsilon must be a number"),
+                                    ("inf", math.inf, "epsilon must be finite"),
                                     ("nan", math.nan, "epsilon must be finite"),
                                     ("0", 0.0, "epsilon must be positive"))],
 ])

@@ -6,7 +6,7 @@ import simca.training
 from helpers import converged_coupling, random_instance, reference_solve_ot, slack_extended_loss
 from simca.metrics import evaluate
 from simca.model import AffinityParams, compute_affinity, matching_matrix
-from simca.sinkhorn import ot_value
+from simca.sinkhorn import extend_with_slack, matched_cross_entropy, ot_value, solve_ot
 from simca.training import (
     AdamState,
     TrainConfig,
@@ -249,7 +249,10 @@ def test_loss_is_convex_along_segments():
 
 
 def test_train_and_evaluate_match_the_reference_solver(monkeypatch):
-    # m=10 reaches numpy's pairwise row sums inside every Sinkhorn reduction
+    # training keeps the reference loop's bits (m=10 reaches numpy's pairwise
+    # row sums inside every Sinkhorn reduction); evaluate's Newton solve agrees
+    # with the loop run to the same tolerance: both converge and round to the
+    # same matching
     ds = generate_dataset(GenConfig(n=200, m=10, d=2, k=3, alpha=0.3, seed=4))
     configs = [TrainConfig(seed=3, epochs=30), TrainConfig(seed=3, epochs=30, joint_users=True)]
     runs = [train(ds, cfg) for cfg in configs]
@@ -262,4 +265,36 @@ def test_train_and_evaluate_match_the_reference_solver(monkeypatch):
         assert np.array_equal(fast.items, slow.items)
         assert (fast.users is None and slow.users is None) or np.array_equal(fast.users, slow.users)
     for eps, fast in zip((0.1, 0.01), reports):
-        assert fast == evaluate(ds, runs[0].items, AffinityParams(0.3, eps))
+        slow = evaluate(ds, runs[0].items, AffinityParams(0.3, eps))
+        assert fast.converged and slow.converged
+        assert fast.sinkhorn_iterations < slow.sinkhorn_iterations
+        assert (fast.f1_micro, fast.f1_macro, fast.per_item_f1, fast.mean_embed_dist) == \
+            (slow.f1_micro, slow.f1_macro, slow.per_item_f1, slow.mean_embed_dist)
+        assert fast.cross_entropy == pytest.approx(slow.cross_entropy, rel=1e-9)
+
+
+def test_small_epsilon_trains_with_a_finite_loss():
+    # at epsilon=0.001 matched entries of the coupling underflow to 0; the loss
+    # comes from the potentials, so training and evaluate still score them
+    ds = generate_dataset(GenConfig(n=300, m=3, d=2, k=3, alpha=0.3, seed=7))
+    result = train(ds, TrainConfig(epsilon=0.001, epochs=2))
+    assert all(np.isfinite(r.loss) for r in result.history)
+    report = evaluate(ds, result.items, AffinityParams(0.3, 0.001))
+    assert report.converged and np.isfinite(report.cross_entropy)
+
+
+def test_loss_from_potentials_matches_the_coupling():
+    rng = np.random.default_rng(12)
+    users, distances, caps, sigma = random_instance(rng, 9, 3, 2, slack=1)
+    inst = extend_with_slack(compute_affinity(users, rng.normal(size=(3, 2)), distances, 0.3),
+                             caps, 0.2)
+    for result in (solve_ot(inst, iterations=4), solve_ot(inst, tol=1e-10)):
+        assert matched_cross_entropy(inst, result, sigma) == \
+            pytest.approx(cross_entropy_loss(sigma, result.coupling), rel=1e-14)
+
+
+@pytest.mark.parametrize("key", ["sinkhorn_iters", "epochs", "learning_rate"])
+@pytest.mark.parametrize("value", [True, "3"], ids=["bool", "string"])
+def test_config_rejects_non_numbers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        TrainConfig(**{key: value})
