@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .datagen import GenConfig
 from .metrics import EvalReport
-from .model import Dataset, as_matrix
+from .model import Dataset, as_matrix, field_types
 from .training import EpochRecord
 
 
@@ -119,35 +118,33 @@ def load_dataset(bundle_dir) -> Dataset:
 
 def _save_records(records: list, cls: type, path) -> None:
     """Write records of dataclass ``cls`` as CSV; float fields use 17 digits."""
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
+    types = field_types(cls)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
+        writer.writerow(list(types))
         for rec in records:
             writer.writerow([
-                _FLOAT_FMT % getattr(rec, name) if hints[name] is float else getattr(rec, name)
-                for name in names
+                _FLOAT_FMT % getattr(rec, name) if kind is float else getattr(rec, name)
+                for name, kind in types.items()
             ])
 
 
 def _load_records(cls: type, path) -> list:
     """Read a CSV written by :func:`_save_records`, converting each field by its type."""
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
+    types = field_types(cls)
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != names:
+        if header != list(types):
             raise ValueError(f"{path}, line 1: bad header {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(names):
-                raise ValueError(f"{path}, line {lineno}: expected {len(names)} fields")
+            if len(row) != len(types):
+                raise ValueError(f"{path}, line {lineno}: expected {len(types)} fields")
             try:
-                records.append(cls(*(hints[name](value) for name, value in zip(names, row))))
+                records.append(cls(*(kind(value) for kind, value in zip(types.values(), row))))
             except ValueError:
                 raise ValueError(f"{path}, line {lineno}: malformed record") from None
     return records

@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 import sys
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .bundle import (
 )
 from .datagen import GenConfig, apply_gaussian_noise, apply_swap_noise, generate_dataset
 from .metrics import evaluate
-from .model import AffinityParams, Dataset
+from .model import AffinityParams, Dataset, check_setting, field_types
 from .plots import render_sweep_chart, render_training_chart
 from .training import TrainConfig, train
 
@@ -56,44 +55,10 @@ _DEFAULTS = {
     "repeats": 1,
 }
 _SCHEMA: dict[str, type] = {
-    **typing.get_type_hints(GenConfig),
-    **typing.get_type_hints(TrainConfig),
+    **field_types(GenConfig),
+    **field_types(TrainConfig),
     **{key: type(default) for key, default in _DEFAULTS.items()},
 }
-
-
-def _is_finite(value) -> bool:
-    """Whether a JSON number is a finite float; an integer beyond the float range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _check_value(key: str, value, expected: type):
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        if not _is_finite(value):
-            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
-        return value
-    if expected is list:
-        if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-        ):
-            raise ConfigError(f"config key {key!r} must be a list of numbers, got {value!r}")
-        if not all(_is_finite(v) for v in value):
-            raise ConfigError(f"config key {key!r} must hold finite numbers, got {value!r}")
-        return [float(v) for v in value]
-    raise AssertionError(key)
 
 
 def validate_config(raw: dict) -> dict:
@@ -104,7 +69,10 @@ def validate_config(raw: dict) -> dict:
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        cfg[key] = _check_value(key, value, _SCHEMA[key])
+        try:
+            cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -171,8 +139,8 @@ def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
 def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     dataset = load_dataset(bundle_dir)
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
-        _info(quiet, f"warning: config alpha {cfg['alpha']} differs from "
-                     f"bundle alpha {dataset.alpha}; using config value")
+        print(f"warning: config alpha {cfg['alpha']} differs from "
+              f"bundle alpha {dataset.alpha}; using config value", file=sys.stderr)
     train_cfg = _train_config(dataset, cfg)
     training_data = _noisy_dataset(dataset, cfg["gauss_rho"], cfg["swap_rho"],
                                    derive_seed(train_cfg.seed, "gauss"),

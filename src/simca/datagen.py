@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .model import Dataset, check_alpha, compute_affinity
+from .model import Dataset, check_alpha, check_fields, check_setting, compute_affinity
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if not 1 <= self.k <= self.m:
             raise ValueError("need m >= k >= 1")
         if self.m > self.n:
@@ -44,12 +45,12 @@ class GenConfig:
         if self.d < 1:
             raise ValueError("need d >= 1")
         check_alpha(self.alpha)
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
-        if self.dirichlet_conc <= 0:
-            raise ValueError("dirichlet_conc must be positive")
-        if self.extra_spots_per_item < 0:
-            raise ValueError("extra_spots_per_item must be nonnegative")
+        for name in ("cluster_spread", "dirichlet_conc"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("extra_spots_per_item", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 def round_capacities(proportions, n: int, extra: int) -> np.ndarray:
@@ -114,6 +115,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
     a different item remains (all users on one item, say), the procedure stops
     early with a warning.
     """
+    rho = check_setting(rho, "rho", float)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     assign = np.asarray(assign, dtype=np.int64).copy()
@@ -140,6 +142,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
 def apply_gaussian_noise(embeddings, rho: float, seed: int) -> np.ndarray:
     """Blend embeddings with fresh standard normal noise:
     sqrt(1 - rho^2) * X + rho * Z. Rows are not re-normalized."""
+    rho = check_setting(rho, "rho", float)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     arr = np.asarray(embeddings, dtype=np.float64)

@@ -9,12 +9,17 @@ the inner product of their embeddings with an exogenous distance penalty:
 Matrices are plain float64 numpy arrays throughout; embedding matrices are
 row-major (one row per user or item). ``Dataset`` and ``AffinityParams``
 validate on construction, so ``compute_affinity`` and the other per-epoch
-kernels take their inputs as given.
+kernels take their inputs as given. ``check_setting`` is the one rule for a
+scalar setting: every field of the config dataclasses, every CLI config key
+and every noise level goes through it by its type hint.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,20 +51,49 @@ def _integer_vector(values, name: str, length: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def check_number(value, name: str, integer: bool = False):
-    """The type rule of every numeric setting: a real number (an integer when
-    ``integer`` is set), not a bool."""
-    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
+@functools.cache
+def field_types(cls) -> dict[str, type]:
+    """Each field of dataclass ``cls``, in order, mapped to its type hint, resolved once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+# per setting kind, the type a value must have and its name in messages
+_SETTING_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
+                  float: (numbers.Real, "a number"), list: (list, "a list of numbers")}
+
+
+def check_setting(value, name: str, kind: type):
+    """The rule of every setting, returning ``value`` as ``kind``: a bool; an
+    integer, not a bool; a finite real number, not a bool, as a float (an
+    integer beyond the float range is not finite); or a list of such floats."""
+    accepted, noun = _SETTING_KINDS[kind]
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if kind is list:
+        return [check_setting(v, f"each entry of {name}", float) for v in value]
+    if kind is not float:
+        return kind(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Replace every field of frozen dataclass ``obj`` by its ``check_setting`` value."""
+    for name, kind in field_types(type(obj)).items():
+        object.__setattr__(obj, name, check_setting(getattr(obj, name), name, kind))
 
 
 def check_alpha(alpha) -> float:
-    """The alpha check of every entry point: a number, not a bool, in [0, 1]."""
-    check_number(alpha, "alpha")
+    """The alpha check of every entry point: a setting float in [0, 1]."""
+    alpha = check_setting(alpha, "alpha", float)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return float(alpha)
+    return alpha
 
 
 def check_capacities(caps, n: int, m: int) -> np.ndarray:
@@ -103,10 +137,8 @@ class AffinityParams:
     epsilon: float
 
     def __post_init__(self):
+        check_fields(self)
         check_alpha(self.alpha)
-        check_number(self.epsilon, "epsilon")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 

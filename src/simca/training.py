@@ -25,7 +25,7 @@ import numpy as np
 
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
-from .model import AffinityParams, Dataset, check_number, compute_affinity, matching_matrix
+from .model import AffinityParams, Dataset, check_fields, compute_affinity, matching_matrix
 # cross_entropy_loss stays importable here for the tests and perfbench's tracer
 from .sinkhorn import cross_entropy_loss, extend_with_slack, matched_cross_entropy, solve_ot  # noqa: F401
 
@@ -46,18 +46,15 @@ class TrainConfig:
     joint_users: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         AffinityParams(self.alpha, self.epsilon)
-        check_number(self.learning_rate, "learning_rate")
-        check_number(self.sinkhorn_iters, "sinkhorn_iters", integer=True)
-        check_number(self.epochs, "epochs", integer=True)
-        if not math.isfinite(self.learning_rate):
-            raise ValueError("learning_rate must be finite")
         if self.sinkhorn_iters < 1:
             raise ValueError("sinkhorn_iters must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass

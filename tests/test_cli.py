@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -18,7 +19,7 @@ from simca.cli import (
 )
 from simca.datagen import GenConfig
 from simca.metrics import evaluate
-from simca.model import AffinityParams
+from simca.model import AffinityParams, field_types
 from simca.sinkhorn import solve_ot
 from simca.training import TrainConfig
 
@@ -62,6 +63,30 @@ def test_validate_config_type_errors():
         validate_config({"epsilon": 10**400})
     with pytest.raises(ConfigError, match="epsilon_values"):
         validate_config({"epsilon_values": [0.1, 10**400]})
+
+
+# per type hint, values each setting of that kind must reject
+_BAD_SETTINGS = {
+    int: {"bool": True, "string": "3", "fraction": 2.5},
+    float: {"bool": True, "string": "0.3", "nan": math.nan, "inf": math.inf,
+            "int-beyond-float": 10**400},
+    bool: {"int": 1, "string": "true"},
+}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{label}")
+    for cls in (GenConfig, TrainConfig, AffinityParams)
+    for name, kind in field_types(cls).items()
+    for label, value in _BAD_SETTINGS[kind].items()
+])
+def test_every_setting_field_follows_one_rule(cls, name, value):
+    required = {"alpha": 0.3, "epsilon": 0.1} if cls is AffinityParams else {}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        cls(**{**required, name: value})
+    # AffinityParams' fields are TrainConfig's alpha and epsilon, so every name is a config key
+    with pytest.raises(ConfigError, match=f"^config key '{name}' must be"):
+        validate_config({name: value})
 
 
 def test_config_dataclasses_roundtrip_through_the_schema():
@@ -427,3 +452,36 @@ def test_generate_at_benchmark_scale(tmp_path):
     assert len(users) == 1000
     meta = json.loads((bundle / "meta.json").read_text())
     assert sum(meta["capacities"]) == 1030
+
+
+def test_negative_seed_names_the_key_but_a_sweep_master_seed_may_be_negative(tmp_path, capsys):
+    for cls in (GenConfig, TrainConfig):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            cls(seed=-1)
+    config = write_config(tmp_path, {"epochs": 2, "epsilon_values": [0.1]})
+    bundle = tmp_path / "bundle"
+    assert main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"]) == 0
+    code = main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "run"), "--seed", "-1", "--quiet"])
+    assert code == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # the master seed only feeds derive_seed; every cell trains with a derived nonnegative seed
+    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "sweep"), "--seed", "-1", "--quiet"])
+    assert code == 0
+    assert [r.seed for r in load_sweep(tmp_path / "sweep" / "sweep.csv")] == \
+        [derive_seed(-1, "epsilon", 0, 0)]
+
+
+def test_train_alpha_warning_goes_to_stderr_under_quiet(tmp_path, capsys):
+    config = write_config(tmp_path, {"epochs": 2})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    other = write_config(tmp_path, {"epochs": 2, "alpha": 0.5}, name="other.json")
+    capsys.readouterr()
+    assert main(["train", "--bundle", str(bundle), "--config", str(other),
+                 "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config alpha 0.5 differs from bundle alpha 0.3" in captured.err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,21 @@ def test_swap_noise_warns_when_stuck():
     with pytest.warns(UserWarning, match="no partner"):
         out = apply_swap_noise(sigma, 0.5, seed=0)
     assert np.array_equal(out, sigma)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (True, "rho must be a number"),
+    ("0.5", "rho must be a number"),
+    (math.nan, "rho must be finite"),
+    (10**400, "rho must be finite"),
+], ids=["bool", "string", "nan", "int-beyond-float"])
+def test_noise_levels_follow_the_setting_rule(rho, message):
+    # a bool is not a level: True used to swap every user
+    sigma = np.array([0, 1, 0, 1, 2, 2])
+    with pytest.raises(ValueError, match=message):
+        apply_swap_noise(sigma, rho, seed=0)
+    with pytest.raises(ValueError, match=message):
+        apply_gaussian_noise(np.ones((6, 2)), rho, seed=0)
 
 
 def test_gaussian_noise_edge_ratios():
