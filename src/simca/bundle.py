@@ -3,10 +3,12 @@
 A dataset bundle is a directory holding ``meta.json`` (sizes, alpha, seed,
 capacities, and a generated bundle's ``GenConfig`` fields) and headerless CSV
 matrices: ``users.csv``, ``distances.csv``, optional ``items_truth.csv`` and
-``matching.csv`` with one ``user,item`` row per user, in any order. Result tables (``history.csv``,
-``sweep.csv``) hold one row per record under a header of the record's field
-names. Reals are written with 17 significant digits so a reload reproduces
-the float64 values bit for bit.
+``matching.csv`` with one ``user,item`` row per user, in any order. Result
+tables (``history.csv``, ``sweep.csv``) hold one row per record under a header
+of the record's field names. Reals are written with 17 significant digits so
+a reload reproduces the float64 values bit for bit. Every JSON file
+(``meta.json``, ``eval.json``, a CLI config) holds one object, written by
+``write_json`` and read by ``read_json``.
 """
 from __future__ import annotations
 
@@ -55,6 +57,26 @@ def read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
     return as_matrix(rows, str(path), shape)
 
 
+def write_json(path, value: dict) -> None:
+    """Write ``value`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """The JSON object in ``path``; a missing file, invalid JSON or a value
+    that is not an object is an error naming the file."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: must be a JSON object")
+    return value
+
+
 def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None) -> Path:
     """Write a dataset bundle; returns the bundle directory."""
     out = Path(out_dir)
@@ -70,9 +92,7 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
         "capacities": [int(c) for c in dataset.capacities],
         "has_items_truth": dataset.items_truth is not None,
     }
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "meta.json", meta)
     write_matrix_csv(out / "users.csv", dataset.users)
     write_matrix_csv(out / "distances.csv", dataset.distances)
     if dataset.items_truth is not None:
@@ -86,10 +106,7 @@ def load_dataset(bundle_dir) -> Dataset:
     """Read a dataset bundle back, validating the schema."""
     bundle = Path(bundle_dir)
     meta_path = bundle / "meta.json"
-    if not meta_path.exists():
-        raise FileNotFoundError(f"not a dataset bundle: {meta_path} missing")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(meta_path)
     for key in ("n", "m", "d", "alpha", "seed", "capacities"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
@@ -180,6 +197,4 @@ def load_sweep(path) -> list[SweepRow]:
 
 
 def save_eval_report(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dataclasses.asdict(report))

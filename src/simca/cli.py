@@ -2,8 +2,11 @@
 
 Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
 ``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
-so a typo in a hyperparameter never passes silently. Training and scoring use
-the bundle's alpha unless the config sets one. A sweep cell is a train run
+so a typo in a hyperparameter never passes silently. ``train``, ``evaluate`` and
+``sweep`` check their configuration before they read any file; a sweep's
+master seed is left unchecked, since it only feeds ``derive_seed``. Training
+and scoring use the bundle's alpha unless the config sets one, and a run is
+scored with the users it trained on. A sweep cell is a train run
 with one key set: the swept value replaces that key and every other noise
 level is zero. Sweep runs derive their seeds by hashing (master seed, grid
 point, repeat), which makes them reproducible and safe to execute in parallel.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,6 +29,7 @@ from .bundle import (
     load_dataset,
     load_history,
     load_sweep,
+    read_json,
     save_dataset,
     save_eval_report,
     save_history,
@@ -36,7 +39,7 @@ from .bundle import (
 )
 from .datagen import GenConfig, apply_gaussian_noise, apply_swap_noise, generate_dataset
 from .metrics import evaluate
-from .model import AffinityParams, Dataset, check_setting, field_types
+from .model import AffinityParams, Dataset, check_setting, check_unit_interval, field_types
 from .plots import render_sweep_chart, render_training_chart
 from .training import TrainConfig, train
 
@@ -63,8 +66,6 @@ _SCHEMA: dict[str, type] = {
 
 def validate_config(raw: dict) -> dict:
     """Check a raw config mapping against the flat schema."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     cfg = dict(_DEFAULTS)
     for key, value in raw.items():
         if key not in _SCHEMA:
@@ -77,15 +78,7 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return validate_config(raw)
+    return validate_config(read_json(path))
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -119,9 +112,16 @@ def run_generate(cfg: dict, out_dir, quiet: bool = False) -> Path:
     return bundle
 
 
-def _train_config(dataset: Dataset, cfg: dict, **overrides) -> TrainConfig:
-    """The run's ``TrainConfig``; alpha defaults to the bundle's."""
-    return config_from(TrainConfig, {"alpha": dataset.alpha, **cfg}, **overrides)
+def _train_config(cfg: dict, dataset: Dataset | None = None, **overrides) -> TrainConfig:
+    """The run's checked ``TrainConfig``. A run builds it before it reads any
+    file, and again once the bundle is read: alpha then defaults to the bundle's."""
+    bundle = {} if dataset is None else {"alpha": dataset.alpha}
+    return config_from(TrainConfig, {**bundle, **cfg}, **overrides)
+
+
+def _trained_users(result, training_data: Dataset):
+    """The users a run is scored with: the ones it trained on, learned or noised."""
+    return training_data.users if result.users is None else result.users
 
 
 def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
@@ -137,21 +137,26 @@ def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
 
 
 def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
+    _train_config(cfg)
+    for key in ("gauss_rho", "swap_rho"):
+        check_unit_interval(cfg[key], key)
     dataset = load_dataset(bundle_dir)
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         print(f"warning: config alpha {cfg['alpha']} differs from "
               f"bundle alpha {dataset.alpha}; using config value", file=sys.stderr)
-    train_cfg = _train_config(dataset, cfg)
+    train_cfg = _train_config(cfg, dataset)
     training_data = _noisy_dataset(dataset, cfg["gauss_rho"], cfg["swap_rho"],
                                    derive_seed(train_cfg.seed, "gauss"),
                                    derive_seed(train_cfg.seed, "swap"))
     result = train(training_data, train_cfg)
+    users = _trained_users(result, training_data)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_history(result.history, out / "history.csv")
     write_matrix_csv(out / "items_learned.csv", result.items)
-    if result.users is not None:
-        write_matrix_csv(out / "users_learned.csv", result.users)
+    # learned or noised users are not the bundle's; evaluate scores with this file
+    if users is not dataset.users:
+        write_matrix_csv(out / "users_learned.csv", users)
     if result.history:
         last = result.history[-1]
         _info(quiet, f"trained {len(result.history)} epochs: "
@@ -162,17 +167,13 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
 
 
 def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
+    _train_config(cfg)
     dataset = load_dataset(bundle_dir)
     learned = Path(learned_dir)
-    items_path = learned / "items_learned.csv"
-    if not items_path.exists():
-        raise FileNotFoundError(f"missing learned embeddings: {items_path}")
-    items_hat = read_matrix_csv(items_path, (None, dataset.dim))
-    users_eval = None
+    items_hat = read_matrix_csv(learned / "items_learned.csv", (None, dataset.dim))
     users_path = learned / "users_learned.csv"
-    if users_path.exists():
-        users_eval = read_matrix_csv(users_path, (None, dataset.dim))
-    train_cfg = _train_config(dataset, cfg)
+    users_eval = read_matrix_csv(users_path, (None, dataset.dim)) if users_path.exists() else None
+    train_cfg = _train_config(cfg, dataset)
     params = AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon)
     report = evaluate(dataset, items_hat, params, users_eval=users_eval)
     out = Path(out_dir)
@@ -207,15 +208,14 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
         cell = {**cfg, "gauss_rho": 0.0, "swap_rho": 0.0, param: value}
         training_data = _noisy_dataset(dataset, cell["gauss_rho"], cell["swap_rho"],
                                        noise_seed, noise_seed)
-        train_cfg = _train_config(dataset, cell, seed=run_seed)
+        train_cfg = _train_config(cell, dataset, seed=run_seed)
         result = train(training_data, train_cfg)
-        users_eval = result.users if result.users is not None else training_data.users
         # score against the original (uncorrupted) matching
         report = evaluate(
             dataset,
             result.items,
             AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon),
-            users_eval=users_eval,
+            users_eval=_trained_users(result, training_data),
         )
         final_loss = result.history[-1].loss if result.history else math.nan
         dist = report.mean_embed_dist if report.mean_embed_dist is not None else math.nan
@@ -235,8 +235,10 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    dataset = load_dataset(bundle_dir)
     points = _sweep_points(cfg)
+    # the master seed only feeds derive_seed, so any seed stands in for it here
+    _train_config(cfg, seed=0)
+    dataset = load_dataset(bundle_dir)
     master_seed = cfg.get("seed", TrainConfig.seed)
     tasks = [
         (dataset, cfg, param, gi, value, rep, master_seed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .model import Dataset, check_alpha, check_fields, check_setting, compute_affinity
+from .model import Dataset, check_fields, check_unit_interval, compute_affinity
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class GenConfig:
             raise ValueError("need m <= n")
         if self.d < 1:
             raise ValueError("need d >= 1")
-        check_alpha(self.alpha)
+        check_unit_interval(self.alpha, "alpha")
         for name in ("cluster_spread", "dirichlet_conc"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -115,9 +115,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
     a different item remains (all users on one item, say), the procedure stops
     early with a warning.
     """
-    rho = check_setting(rho, "rho", float)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    rho = check_unit_interval(rho, "rho")
     assign = np.asarray(assign, dtype=np.int64).copy()
     n = len(assign)
     rng = np.random.default_rng(seed)
@@ -142,9 +140,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
 def apply_gaussian_noise(embeddings, rho: float, seed: int) -> np.ndarray:
     """Blend embeddings with fresh standard normal noise:
     sqrt(1 - rho^2) * X + rho * Z. Rows are not re-normalized."""
-    rho = check_setting(rho, "rho", float)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    rho = check_unit_interval(rho, "rho")
     arr = np.asarray(embeddings, dtype=np.float64)
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=arr.shape)

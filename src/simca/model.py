@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import reprlib
 import typing
 from dataclasses import dataclass
 
@@ -69,7 +70,7 @@ def check_setting(value, name: str, kind: type):
     integer beyond the float range is not finite); or a list of such floats."""
     accepted, noun = _SETTING_KINDS[kind]
     if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+        raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
     if kind is list:
         return [check_setting(v, f"each entry of {name}", float) for v in value]
     if kind is not float:
@@ -79,7 +80,7 @@ def check_setting(value, name: str, kind: type):
             return float(value)
     except OverflowError:
         pass
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 def check_fields(obj) -> None:
@@ -88,12 +89,12 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, name, check_setting(getattr(obj, name), name, kind))
 
 
-def check_alpha(alpha) -> float:
-    """The alpha check of every entry point: a setting float in [0, 1]."""
-    alpha = check_setting(alpha, "alpha", float)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    return alpha
+def check_unit_interval(value, name: str) -> float:
+    """The check of every alpha and noise level: a setting float in [0, 1]."""
+    value = check_setting(value, name, float)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return value
 
 
 def check_capacities(caps, n: int, m: int) -> np.ndarray:
@@ -138,7 +139,7 @@ class AffinityParams:
 
     def __post_init__(self):
         check_fields(self)
-        check_alpha(self.alpha)
+        check_unit_interval(self.alpha, "alpha")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
@@ -170,7 +171,7 @@ class Dataset:
         if np.any(caps < 1):
             raise ValueError("every capacity must be at least 1")
         matching = check_matching(self.matching, caps, n)
-        alpha = check_alpha(self.alpha)
+        alpha = check_unit_interval(self.alpha, "alpha")
         seed = int(_integer_vector([self.seed], "seed", 1)[0])
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "seed", seed)

@@ -1,11 +1,16 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simca
 import simca.metrics
 from simca.bundle import load_dataset, load_history, load_sweep, read_matrix_csv
 from simca.cli import (
@@ -17,7 +22,7 @@ from simca.cli import (
     run_sweep,
     validate_config,
 )
-from simca.datagen import GenConfig
+from simca.datagen import GenConfig, apply_gaussian_noise
 from simca.metrics import evaluate
 from simca.model import AffinityParams, field_types
 from simca.sinkhorn import solve_ot
@@ -485,3 +490,110 @@ def test_train_alpha_warning_goes_to_stderr_under_quiet(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config alpha 0.5 differs from bundle alpha 0.3" in captured.err
+
+
+def test_setting_errors_print_a_bounded_value(tmp_path, capsys):
+    for make, name in ((lambda: TrainConfig(learning_rate=10**400), "learning_rate"),
+                       (lambda: TrainConfig(seed="7" * 1000), "seed")):
+        with pytest.raises(ValueError, match=f"^{name} must be") as info:
+            make()
+        assert len(str(info.value)) < 120
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"epsilon": 10**400}))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert "'epsilon'" in err
+    assert len(err) < 120
+
+
+@pytest.mark.parametrize("bundle_exists", [True, False], ids=["bundle", "no-bundle"])
+def test_sweep_bad_base_key_exits_1_and_writes_nothing(tmp_path, capsys, bundle_exists):
+    bundle = tmp_path / "bundle"
+    if bundle_exists:
+        main(["generate", "--config", str(write_config(tmp_path)), "--out", str(bundle), "--quiet"])
+    config = write_config(tmp_path, {"learning_rate": -1, "epsilon_values": [0.1, 0.5]},
+                          name="sweep.json")
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "learning_rate must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", {"sinkhorn_iters": 0}, "sinkhorn_iters must be at least 1"),
+    ("evaluate", {"sinkhorn_iters": 0}, "sinkhorn_iters must be at least 1"),
+    ("train", {"swap_rho": 1.5}, "swap_rho must lie in [0, 1]"),
+    ("train", {"gauss_rho": -0.5}, "gauss_rho must lie in [0, 1]"),
+], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho"])
+def test_config_is_checked_before_any_file_is_read(tmp_path, capsys, command, setting, message):
+    # the bundle and the learned directory do not exist: the config error comes first
+    config = write_config(tmp_path, setting)
+    argv = [command, "--bundle", str(tmp_path / "absent"), "--config", str(config),
+            "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--learned", str(tmp_path / "absent-run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "meta.json" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]"], ids=["not-json", "not-an-object"])
+def test_malformed_meta_json_names_the_file(tmp_path, capsys, text):
+    config = write_config(tmp_path, {"epochs": 2})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    (bundle / "meta.json").write_text(text)
+    code = main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 1
+    assert "meta.json" in capsys.readouterr().err
+
+
+def test_gauss_noised_run_is_scored_with_its_noised_users(tmp_path):
+    # the run trained on noised users, so evaluate scores with them, as a sweep cell does
+    config = write_config(tmp_path, {"gauss_rho": 0.6, "epochs": 4})
+    bundle, run_dir, eval_dir = tmp_path / "bundle", tmp_path / "run", tmp_path / "eval"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    assert main(["train", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(run_dir), "--quiet"]) == 0
+    dataset = load_dataset(bundle)
+    users = read_matrix_csv(run_dir / "users_learned.csv", (40, 2))
+    noised = apply_gaussian_noise(dataset.users, 0.6, derive_seed(SMALL_CONFIG["seed"], "gauss"))
+    assert np.array_equal(users, noised)
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--config", str(config), "--out", str(eval_dir), "--quiet"]) == 0
+    items = read_matrix_csv(run_dir / "items_learned.csv", (3, 2))
+    params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
+    report = json.loads((eval_dir / "eval.json").read_text())
+    assert report == asdict(evaluate(dataset, items, params, users_eval=users))
+    assert report != asdict(evaluate(dataset, items, params))
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    # src/ needs numpy only: put first on the path a scipy that cannot be imported
+    shim = tmp_path / "shim"
+    (shim / "scipy").mkdir(parents=True)
+    (shim / "scipy" / "__init__.py").write_text('raise ImportError("scipy is hidden")\n')
+    src = Path(simca.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(shim), str(src)])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    assert "scipy is hidden" in run("-c", "import scipy").stderr
+    write_config(tmp_path)
+    for argv in (["generate", "--out", "bundle"],
+                 ["train", "--bundle", "bundle", "--out", "run"],
+                 ["evaluate", "--bundle", "bundle", "--learned", "run", "--out", "eval"]):
+        proc = run("-m", "simca", *argv, "--config", "config.json", "--quiet")
+        assert proc.returncode == 0, proc.stderr
+    proc = run("-m", "simca", "plot", "--results", "run", "--out", "plots", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eval" / "eval.json").exists()
+    assert (tmp_path / "plots" / "training.svg").exists()
