@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import math
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -69,7 +70,7 @@ def validate_config(raw: dict) -> dict:
     cfg = dict(_DEFAULTS)
     for key, value in raw.items():
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {reprlib.repr(key)}")
         try:
             cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
         except ValueError as exc:
@@ -119,37 +120,32 @@ def _train_config(cfg: dict, dataset: Dataset | None = None, **overrides) -> Tra
     return config_from(TrainConfig, {**bundle, **cfg}, **overrides)
 
 
-def _trained_users(result, training_data: Dataset):
-    """The users a run is scored with: the ones it trained on, learned or noised."""
-    return training_data.users if result.users is None else result.users
-
-
-def _noisy_dataset(dataset: Dataset, gauss_rho: float, swap_rho: float,
-                   gauss_seed: int, swap_seed: int) -> Dataset:
-    """The training inputs: the users with gaussian noise and the matching with swap noise."""
-    out = dataset
+def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrides):
+    """Train one run on the bundle's data, with the users gauss-noised and the
+    matching swap-noised at the levels of ``cfg``. Returns the run's checked
+    ``TrainConfig``, its result, and the users it trained on, learned or noised."""
+    train_cfg = _train_config(cfg, dataset, **overrides)
+    noisy = {}
     # a zero level leaves the data as is; any other level goes through the noise range check
-    if gauss_rho != 0:
-        out = dataclasses.replace(out, users=apply_gaussian_noise(out.users, gauss_rho, gauss_seed))
-    if swap_rho != 0:
-        out = dataclasses.replace(out, matching=apply_swap_noise(out.matching, swap_rho, swap_seed))
-    return out
+    if cfg["gauss_rho"] != 0:
+        noisy["users"] = apply_gaussian_noise(dataset.users, cfg["gauss_rho"], gauss_seed)
+    if cfg["swap_rho"] != 0:
+        noisy["matching"] = apply_swap_noise(dataset.matching, cfg["swap_rho"], swap_seed)
+    training_data = dataclasses.replace(dataset, **noisy) if noisy else dataset
+    result = train(training_data, train_cfg)
+    users = training_data.users if result.users is None else result.users
+    return train_cfg, result, users
 
 
 def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
-    _train_config(cfg)
+    seed = _train_config(cfg).seed
     for key in ("gauss_rho", "swap_rho"):
         check_unit_interval(cfg[key], key)
     dataset = load_dataset(bundle_dir)
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         print(f"warning: config alpha {cfg['alpha']} differs from "
               f"bundle alpha {dataset.alpha}; using config value", file=sys.stderr)
-    train_cfg = _train_config(cfg, dataset)
-    training_data = _noisy_dataset(dataset, cfg["gauss_rho"], cfg["swap_rho"],
-                                   derive_seed(train_cfg.seed, "gauss"),
-                                   derive_seed(train_cfg.seed, "swap"))
-    result = train(training_data, train_cfg)
-    users = _trained_users(result, training_data)
+    _, result, users = _fit(dataset, cfg, derive_seed(seed, "gauss"), derive_seed(seed, "swap"))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_history(result.history, out / "history.csv")
@@ -206,16 +202,13 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
     try:
         noise_seed = derive_seed(master_seed, param, grid_index, repeat, "noise")
         cell = {**cfg, "gauss_rho": 0.0, "swap_rho": 0.0, param: value}
-        training_data = _noisy_dataset(dataset, cell["gauss_rho"], cell["swap_rho"],
-                                       noise_seed, noise_seed)
-        train_cfg = _train_config(cell, dataset, seed=run_seed)
-        result = train(training_data, train_cfg)
+        train_cfg, result, users = _fit(dataset, cell, noise_seed, noise_seed, seed=run_seed)
         # score against the original (uncorrupted) matching
         report = evaluate(
             dataset,
             result.items,
             AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon),
-            users_eval=_trained_users(result, training_data),
+            users_eval=users,
         )
         final_loss = result.history[-1].loss if result.history else math.nan
         dist = report.mean_embed_dist if report.mean_embed_dist is not None else math.nan

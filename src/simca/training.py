@@ -131,6 +131,41 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
+def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
+           log_b: np.ndarray | None, epoch: int):
+    """One epoch at the embeddings ``params``: the items, then the users in joint mode.
+
+    Returns the epoch's record, the loss gradient of each parameter, and the
+    solve's column potentials, which warm-start the next epoch.
+    """
+    items = params[0]
+    users = params[1] if config.joint_users else dataset.users
+    sigma = dataset.matching
+    affinity = compute_affinity(users, items, dataset.distances, config.alpha)
+    inst = extend_with_slack(affinity, dataset.capacities, config.epsilon)
+    # Warm start: the column scalings carry across epochs. The embeddings
+    # move slowly per step, so the fixed iteration budget then tracks the
+    # converged coupling and the closed-form gradient stays unbiased. With
+    # cold restarts the truncated coupling is systematically off and the
+    # optimizer drifts along weakly identified directions.
+    result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b)
+    pi = result.user_coupling
+
+    loss = matched_cross_entropy(inst, result, sigma)
+    if not math.isfinite(loss):
+        raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
+    grads = [loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)]
+    if config.joint_users:
+        grads.append(loss_gradient_users(items, sigma, pi, config.alpha, config.epsilon))
+
+    predicted = round_coupling(pi, dataset.capacities)
+    micro, macro, _ = f1_scores(sigma, predicted, dataset.n_items)
+    truth = dataset.items_truth
+    dist = float("nan") if truth is None else mean_embedding_distance(items, truth)
+    grad_norm = math.sqrt(sum(float(np.sum(grad**2)) for grad in grads))
+    return EpochRecord(epoch, loss, micro, macro, dist, grad_norm), grads, result.log_b
+
+
 def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Run the learning loop for ``config.epochs`` epochs.
 
@@ -140,65 +175,17 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     Deterministic given the config seed.
     """
     rng = np.random.default_rng(config.seed)
-    n, m, d = dataset.n_users, dataset.n_items, dataset.dim
-    items = init_embeddings(rng, m, d)
-    users = dataset.users
-    learn_users = config.joint_users
-    if learn_users:
-        users = init_embeddings(rng, n, d)
-
-    item_state = AdamState.zeros(items.shape)
-    user_state = AdamState.zeros(users.shape) if learn_users else None
-    caps = dataset.capacities
-    sigma = dataset.matching
+    params = [init_embeddings(rng, dataset.n_items, dataset.dim)]
+    if config.joint_users:
+        params.append(init_embeddings(rng, dataset.n_users, dataset.dim))
+    states = [AdamState.zeros(param.shape) for param in params]
     history: list[EpochRecord] = []
-    log_b_carry: np.ndarray | None = None
+    log_b = None
 
     for epoch in range(config.epochs):
-        affinity = compute_affinity(users, items, dataset.distances, config.alpha)
-        inst = extend_with_slack(affinity, caps, config.epsilon)
-        # Warm start: the column scalings carry across epochs. The embeddings
-        # move slowly per step, so the fixed iteration budget then tracks the
-        # converged coupling and the closed-form gradient stays unbiased. With
-        # cold restarts the truncated coupling is systematically off and the
-        # optimizer drifts along weakly identified directions.
-        result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b_carry)
-        log_b_carry = result.log_b
-        pi = result.user_coupling
+        record, grads, log_b = _epoch(dataset, config, params, log_b, epoch)
+        history.append(record)
+        for k, grad in enumerate(grads):
+            params[k], states[k] = adam_step(params[k], grad, states[k], config.learning_rate)
 
-        loss = matched_cross_entropy(inst, result, sigma)
-        if not math.isfinite(loss):
-            raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
-        grad_items = loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)
-        grad_users = None
-        grad_sq = float(np.sum(grad_items**2))
-        if learn_users:
-            grad_users = loss_gradient_users(items, sigma, pi, config.alpha, config.epsilon)
-            grad_sq += float(np.sum(grad_users**2))
-
-        predicted = round_coupling(pi, caps)
-        micro, macro, _ = f1_scores(sigma, predicted, m)
-        if dataset.items_truth is not None:
-            dist = mean_embedding_distance(items, dataset.items_truth)
-        else:
-            dist = float("nan")
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                loss=loss,
-                f1_micro=micro,
-                f1_macro=macro,
-                mean_embed_dist=dist,
-                grad_norm=float(np.sqrt(grad_sq)),
-            )
-        )
-
-        items, item_state = adam_step(items, grad_items, item_state, config.learning_rate)
-        if learn_users:
-            users, user_state = adam_step(users, grad_users, user_state, config.learning_rate)
-
-    return TrainResult(
-        items=items,
-        users=users if learn_users else None,
-        history=history,
-    )
+    return TrainResult(params[0], params[1] if config.joint_users else None, history)

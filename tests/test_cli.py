@@ -49,6 +49,20 @@ def test_validate_config_rejects_unknown_key():
         validate_config({"learning_rte": 0.1})
 
 
+def test_unknown_config_key_error_is_bounded(tmp_path, capsys):
+    key = "x" * 1000
+    with pytest.raises(ConfigError, match="^unknown config key") as info:
+        validate_config({key: 1})
+    assert len(str(info.value)) < 120
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 1}))
+    assert main(["train", "--bundle", str(tmp_path / "absent"), "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: unknown config key")
+    assert len(err) < 120
+
+
 def test_validate_config_type_errors():
     with pytest.raises(ConfigError, match="epochs"):
         validate_config({"epochs": "many"})

@@ -1,3 +1,7 @@
+import collections
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,13 +9,17 @@ import simca.metrics
 import simca.training
 from helpers import converged_coupling, random_instance, reference_solve_ot, slack_extended_loss
 from simca.metrics import evaluate
+from simca.assignment import round_coupling
+from simca.metrics import f1_scores, mean_embedding_distance
 from simca.model import AffinityParams, compute_affinity, matching_matrix
 from simca.sinkhorn import extend_with_slack, matched_cross_entropy, ot_value, solve_ot
 from simca.training import (
     AdamState,
+    EpochRecord,
     TrainConfig,
     adam_step,
     cross_entropy_loss,
+    init_embeddings,
     loss_gradient_items,
     loss_gradient_users,
     matching_with_slack,
@@ -298,3 +306,86 @@ def test_loss_from_potentials_matches_the_coupling():
 def test_config_rejects_non_numbers(key, value):
     with pytest.raises(ValueError, match=f"{key} must be"):
         TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
+def test_epoch_record_and_update_from_the_kernels(joint):
+    # epoch 0 recomputed by hand: the record holds the state before the update,
+    # and each parameter takes one Adam step from zero state
+    ds = _toy_dataset()
+    cfg = TrainConfig(seed=4, epochs=1, joint_users=joint)
+    result = train(ds, cfg)
+    rng = np.random.default_rng(cfg.seed)
+    items = init_embeddings(rng, ds.n_items, ds.dim)
+    users = init_embeddings(rng, ds.n_users, ds.dim) if joint else ds.users
+    affinity = compute_affinity(users, items, ds.distances, cfg.alpha)
+    inst = extend_with_slack(affinity, ds.capacities, cfg.epsilon)
+    solved = solve_ot(inst, iterations=cfg.sinkhorn_iters)
+    pi = solved.user_coupling
+    grad_items = loss_gradient_items(users, ds.matching, pi, cfg.alpha, cfg.epsilon)
+    grad_users = loss_gradient_users(items, ds.matching, pi, cfg.alpha, cfg.epsilon)
+    grad_sq = float(np.sum(grad_items**2))
+    if joint:
+        grad_sq += float(np.sum(grad_users**2))
+    micro, macro, _ = f1_scores(ds.matching, round_coupling(pi, ds.capacities), ds.n_items)
+    expected = EpochRecord(
+        epoch=0,
+        loss=matched_cross_entropy(inst, solved, ds.matching),
+        f1_micro=micro,
+        f1_macro=macro,
+        mean_embed_dist=mean_embedding_distance(items, ds.items_truth),
+        grad_norm=float(np.sqrt(grad_sq)),
+    )
+    assert result.history == [expected]
+    lr = cfg.learning_rate
+    stepped_items, _ = adam_step(items, grad_items, AdamState.zeros(items.shape), lr)
+    assert np.array_equal(result.items, stepped_items)
+    if joint:
+        stepped_users, _ = adam_step(users, grad_users, AdamState.zeros(users.shape), lr)
+        assert np.array_equal(result.users, stepped_users)
+    else:
+        assert result.users is None
+
+
+def _layer_functions():
+    """The benchmark tracer's (module, name, span) bindings, read from perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_FUNCTIONS
+
+
+# train computes its loss with matched_cross_entropy, from the solve's
+# potentials, so the benchmark's binding of the coupling-based loss never runs
+# (ROADMAP item 6 moves it to matched_cross_entropy)
+_STALE_BINDINGS = {(simca.training, "cross_entropy_loss")}
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
+def test_the_traced_bindings_are_the_ones_that_run(monkeypatch, joint):
+    layers = _layer_functions()
+    for module, attr, _ in layers:
+        assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    watched = [(module, attr) for module, attr, _ in layers
+               if module in (simca.training, simca.metrics)
+               and (module, attr) not in _STALE_BINDINGS]
+    for module, attr in watched:
+        monkeypatch.setattr(module, attr, counted((module, attr), getattr(module, attr)))
+    epochs = 3
+    ds = _toy_dataset(n=30)
+    result = train(ds, TrainConfig(seed=0, epochs=epochs, joint_users=joint))
+    expected = {(module, attr): epochs for module, attr in watched if module is simca.training}
+    expected[(simca.training, "adam_step")] = epochs * (2 if joint else 1)
+    assert counts == expected
+    counts.clear()
+    evaluate(ds, result.items, AffinityParams(0.3, 0.1), users_eval=result.users)
+    assert counts == {(module, attr): 1 for module, attr in watched if module is simca.metrics}
