@@ -223,6 +223,22 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
     assert np.array_equal(sol.matching, [1, 2])
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the Dijkstra rounds compare "
+                   "float reduced costs, so keys near 2**53 round together")
+def test_rounds_order_keys_that_round_together_with_two_items_over():
+    # the row argmax puts users 0 and 1 on item 0 and user 2 on item 1, which
+    # have no room, so the sort does not apply; the rounds compare reduced
+    # costs in floats and send user 1 to item 2, an objective lower by exactly 2
+    big = 2.0**53
+    M = np.array([[1.0, -1e17, 0.0, -1e17],
+                  [0.0, -1e17, -(big + 6), -(big + 4)],
+                  [-1e17, 0.0, -3e16, -3e16]])
+    caps = np.array([0, 0, 3, 3])
+    expected = brute_force_lap(M, caps)
+    assert np.array_equal(expected.matching, [2, 3, 2])
+    assert np.array_equal(solve_lap(M, caps).matching, expected.matching)
+
+
 @st.composite
 def favoured_instances(draw):
     """Scores with one item favoured, so the row argmax puts it alone over

@@ -40,6 +40,15 @@ def test_matrix_csv_error_reports_line(tmp_path):
         read_matrix_csv(path, (None, 2))
 
 
+def test_matrix_csv_skips_blank_lines_and_rejects_an_all_blank_file(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("\n1.0,2.0\n  \n3.0,4.0\n\n")
+    assert np.array_equal(read_matrix_csv(path, (2, 2)), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("\n \n")
+    with pytest.raises(ValueError, match="empty matrix file"):
+        read_matrix_csv(path, (None, 2))
+
+
 def test_dataset_bundle_roundtrip(tmp_path):
     cfg = GenConfig(n=40, m=3, d=2, k=2, seed=8, extra_spots_per_item=1)
     ds = generate_dataset(cfg)
@@ -150,6 +159,20 @@ def test_history_rejects_bad_header(tmp_path):
     path = tmp_path / "history.csv"
     path.write_text("epoch,loss\n0,1.0\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_history(path)
+
+
+def test_history_skips_a_blank_row_and_rejects_a_short_row(tmp_path):
+    record = EpochRecord(epoch=0, loss=1.5, f1_micro=0.5, f1_macro=0.25,
+                         mean_embed_dist=0.75, grad_norm=2.0)
+    path = tmp_path / "history.csv"
+    save_history([record], path)
+    with open(path, "a") as fh:
+        fh.write("\n")
+    assert load_history(path) == [record]
+    with open(path, "a") as fh:
+        fh.write("1,1.0\n")
+    with pytest.raises(ValueError, match="line 4: expected 6 fields"):
         load_history(path)
 
 

@@ -536,6 +536,32 @@ def test_sweep_bad_base_key_exits_1_and_writes_nothing(tmp_path, capsys, bundle_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bundle_exists", [True, False], ids=["bundle", "no-bundle"])
+def test_sweep_zero_repeats_exits_1_and_writes_nothing(tmp_path, capsys, bundle_exists):
+    bundle = tmp_path / "bundle"
+    if bundle_exists:
+        main(["generate", "--config", str(write_config(tmp_path)), "--out", str(bundle), "--quiet"])
+    config = write_config(tmp_path, {"epsilon_values": [0.1], "repeats": 0}, name="sweep.json")
+    capsys.readouterr()
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "repeats must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
+    # the configuration is valid, so the failed mkdir exits 2, not 1
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    code = main(["generate", "--config", str(write_config(tmp_path)), "--out", str(taken),
+                 "--quiet"])
+    assert code == 2
+    assert "File exists" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+
+
 @pytest.mark.parametrize("command, setting, message", [
     ("train", {"sinkhorn_iters": 0}, "sinkhorn_iters must be at least 1"),
     ("evaluate", {"sinkhorn_iters": 0}, "sinkhorn_iters must be at least 1"),

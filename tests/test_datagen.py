@@ -56,6 +56,11 @@ def test_gen_config_validation():
         GenConfig(n=10, m=3, d=0, k=2)
 
 
+def test_gen_config_rejects_a_zero_cluster_spread():
+    with pytest.raises(ValueError, match="cluster_spread must be positive"):
+        GenConfig(cluster_spread=0.0)
+
+
 def test_generated_dataset_shapes_and_normalizations():
     cfg = GenConfig(n=80, m=4, d=3, k=2, alpha=0.3, seed=3, extra_spots_per_item=2)
     ds = generate_dataset(cfg)

@@ -8,6 +8,7 @@ from simca.datagen import GenConfig
 from simca.model import (
     AffinityParams,
     Dataset,
+    as_matrix,
     compute_affinity,
     matching_matrix,
 )
@@ -173,6 +174,24 @@ def test_dataset_validation():
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
                 matching=np.array([0, 1, 0]), alpha=0.3, seed=0,
                 items_truth=np.zeros((3, 2)))
+
+
+def test_as_matrix_rejects_a_vector():
+    with pytest.raises(ValueError, match="scores must be 2-dimensional"):
+        as_matrix([1.0, 2.0], "scores")
+
+
+@pytest.mark.parametrize("distance, matching, message", [
+    (-0.5, [0, 1, 0], "distances must be nonnegative"),
+    (0.0, [0, 2, 0], "out-of-range item index"),
+    (0.0, [0, -1, 0], "out-of-range item index"),
+], ids=["negative-distance", "item-too-large", "negative-item"])
+def test_dataset_rejects_negative_distances_and_unknown_items(distance, matching, message):
+    users, distances = _small_dataset()
+    distances[0, 0] = distance
+    with pytest.raises(ValueError, match=message):
+        Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
+                matching=np.array(matching), alpha=0.3, seed=0)
 
 
 def test_dataset_rejects_non_finite_inputs():

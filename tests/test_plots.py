@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -96,3 +97,63 @@ def test_sweep_chart_multiple_params():
     svg = render_sweep_chart(rows)
     assert "F1 vs epsilon" in svg
     assert "F1 vs swap_rho" in svg
+
+
+def _flat_history():
+    """A constant loss, F1 with NaN gaps and an all-NaN distance series."""
+    return [
+        EpochRecord(epoch=t, loss=2.5, f1_micro=math.nan if t % 3 == 1 else 0.5 + 0.1 * t,
+                    f1_macro=0.4, mean_embed_dist=math.nan, grad_norm=1.0)
+        for t in range(7)
+    ]
+
+
+def _many_grids_rows():
+    """A log epsilon panel with a failed cell and an all-NaN value, a linear
+    swap_rho panel with eight values, and a gauss_rho panel of three."""
+    rows = _sweep_rows()
+    rows.append(SweepRow(grid_param="epsilon", grid_value=0.2, repeat=0, seed=99,
+                         error="ValueError: nope"))
+    rows.append(SweepRow(grid_param="epsilon", grid_value=0.3, repeat=0, seed=98))
+    rows += [
+        SweepRow(grid_param="swap_rho", grid_value=0.05 * i, repeat=rep, seed=i * 3 + rep,
+                 final_loss=1.0, final_f1_micro=0.9 - 0.04 * i - 0.01 * rep)
+        for i in range(8) for rep in range(2)
+    ]
+    rows += [
+        SweepRow(grid_param="gauss_rho", grid_value=rho, repeat=0, seed=5,
+                 final_f1_micro=0.8)
+        for rho in (0.0, 0.3, 0.6)
+    ]
+    return rows
+
+
+def _linear_epsilon_rows():
+    """An epsilon grid that holds 0, so its axis cannot be log-scaled."""
+    return [
+        SweepRow(grid_param="epsilon", grid_value=eps, repeat=0, seed=1,
+                 final_f1_micro=0.7 + eps)
+        for eps in (0.0, 0.1, 0.2)
+    ]
+
+
+CHART_DIGESTS = {
+    "training-400": (lambda: render_training_chart(_history()),
+        "90422b93772d4fa7aa3f8f930bb177cc8cd46aea4bab2119d0de5bfadaf2da0a"),
+    "training-one-epoch": (lambda: render_training_chart(_history(1)),
+        "8cc56dafd70710894769ecaf5c8b5cb5813f894eaadbfbc2d052b971fdb78317"),
+    "training-nan-and-constant": (lambda: render_training_chart(_flat_history()),
+        "dd805d98f2fa7dcad5f9bc6d7d7c3dd12695e78a9e883242a68b10ddd1942177"),
+    "sweep-log-epsilon": (lambda: render_sweep_chart(_sweep_rows()),
+        "903bfea47148b0a2802da38bffa4b773639cf7d58d0dc088ff57d8166c8bfead"),
+    "sweep-many-grids": (lambda: render_sweep_chart(_many_grids_rows()),
+        "d82139f3c1dacf27c4eac83eed500a7a9be0b3358a30c7d385cb66234ab44c25"),
+    "sweep-linear-epsilon": (lambda: render_sweep_chart(_linear_epsilon_rows()),
+        "1d8c7326edd05462b4152693899146bf9e3d5e5bbfdd7b623b26229c4dcc6976"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHART_DIGESTS))
+def test_chart_bytes_are_pinned(case):
+    render, digest = CHART_DIGESTS[case]
+    assert hashlib.sha256(render().encode()).hexdigest() == digest
