@@ -6,6 +6,7 @@ Output is deterministic for a fixed input.
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 from .bundle import SweepRow
 from .training import EpochRecord
@@ -39,7 +40,8 @@ def _panel(index: int, title: str, xlabel: str, ylabel: str, xlim, xticks, yvalu
 
     The y range is that of the finite ``yvalues`` padded by 5% on each side;
     ``dots`` and ``lines`` are ``(xs, ys, color)`` series, drawn without their
-    non-finite ys; ``legend`` is ``(label, color)`` pairs.
+    non-finite ys; ``legend`` is ``(label, color)`` pairs. Titles and labels
+    are XML-escaped.
     """
     x0 = index * PANEL_W
     xlo, xhi = _span(*(map(math.log10, xlim) if xlog else xlim))
@@ -61,10 +63,10 @@ def _panel(index: int, title: str, xlabel: str, ylabel: str, xlim, xticks, yvalu
         f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
         f'fill="none" stroke="#555"/>',
         f'<text x="{mid_x:.1f}" y="{top - 12}" text-anchor="middle" font-size="13" '
-        f'font-weight="bold">{title}</text>',
-        f'<text x="{mid_x:.1f}" y="{PANEL_H - 8}" text-anchor="middle" font-size="11">{xlabel}</text>',
+        f'font-weight="bold">{escape(title)}</text>',
+        f'<text x="{mid_x:.1f}" y="{PANEL_H - 8}" text-anchor="middle" font-size="11">{escape(xlabel)}</text>',
         f'<text x="{x0 + 14}" y="{mid_y:.1f}" font-size="11" text-anchor="middle" '
-        f'transform="rotate(-90 {x0 + 14} {mid_y:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 {x0 + 14} {mid_y:.1f})">{escape(ylabel)}</text>',
     ]
     for tx in xticks:
         x = px(tx)
@@ -87,7 +89,7 @@ def _panel(index: int, title: str, xlabel: str, ylabel: str, xlim, xticks, yvalu
         y = PAD_TOP + 14 + 14 * i
         parts += [f'<line x1="{x}" y1="{y - 4}" x2="{x + 18}" y2="{y - 4}" stroke="{color}" '
                   f'stroke-width="2"/>',
-                  f'<text x="{x + 23}" y="{y}" font-size="10">{label}</text>']
+                  f'<text x="{x + 23}" y="{y}" font-size="10">{escape(label)}</text>']
     return parts
 
 

@@ -15,6 +15,16 @@ alone, whose m x m Hessian is cheap; it converges quadratically where
 Sinkhorn's rate degrades like 1/epsilon. Everything runs on log-sum-exp
 reductions; the plain multiplicative form overflows for small epsilon.
 
+Both methods run on one kernel (``_LogKernel``) that holds M / epsilon
+items-major, as an (m, n+1) array, so that every reduction runs along the
+long, contiguous user axis. Its sums add in the order numpy uses on the
+(n+1, m) layout of the plain loop: a user's sum over the m items in numpy's
+pairwise order for a contiguous run (one by one below 8 values, eight
+strided partial sums up to 128, halves above), an item's sum over the users
+one user after another (pairwise when m = 1, where the plain loop's column
+is contiguous). So the Sinkhorn loop keeps every bit of the plain loop's
+output.
+
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
 restores equality marginals without perturbing gradients in the item
@@ -48,10 +58,13 @@ class OtInstance:
 def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     """Build a balanced instance; appends a zero-affinity virtual user when
     total capacity exceeds the number of users. The capacities are a
-    validated integer vector with total at least the number of users."""
+    validated integer vector with total at least the number of users. The
+    instance's affinity is C-contiguous, the layout whose summation order
+    the transport solve keeps."""
     n, m = affinity.shape
     total = int(caps.sum())
     if total == n:
+        affinity = np.ascontiguousarray(affinity)
         rows = np.ones(n)
     else:
         affinity = np.vstack([affinity, np.zeros((1, m))])
@@ -125,45 +138,100 @@ def solve_ot(
 
 
 class _LogKernel:
-    """``log_k = M / epsilon`` and the row and column log-sum-exps over it.
+    """The row and column log-sum-exps over ``M / epsilon``, items-major.
 
-    Each log-sum-exp takes its shift (the max) from ``log_kt``, an
-    items-major copy of ``log_k``: a max is exact in any order, and there it
-    reduces along the long axis. The subtract, ``exp`` and sum run on
-    ``log_k`` in its own layout, since summing in another order would change
-    the bits of the Sinkhorn loop. Two scratch buffers serve every call.
+    ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) copy made once
+    per solve, and ``buf`` is one scratch buffer of that shape. Every step of
+    a log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
+    runs on ``buf``, where each reduction runs along the long, contiguous
+    axis. Elementwise steps and maxima give the same bits in any layout. The
+    sums add in the order of ``sum`` on the plain loop's C-ordered (n+1, m)
+    layout, so every output bit stays the same:
+
+    - per user, over the items (``row_lse``, the coupling's row sums):
+      numpy's pairwise order for a contiguous run of m values
+      (``_sum_over_items``);
+    - per item, over the users (``col_lse``, the coupling's column sums):
+      one user after another, as ``np.add.accumulate`` adds along a row;
+      with m = 1 the plain loop's column is contiguous, and both sum it
+      pairwise (``_sum_over_users``).
+
+    ``coupling`` returns a fresh C-contiguous (n+1, m) array, so callers see
+    the plain loop's layout and ``buf`` stays free for the next call.
     """
 
     def __init__(self, inst: OtInstance):
         self.inst = inst
-        self.log_k = inst.affinity / inst.epsilon
-        self.log_kt = np.ascontiguousarray(self.log_k.T)
-        self.buf = np.empty_like(self.log_k)
-        self.buf_t = np.empty_like(self.log_kt)
+        self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
+        self.buf = np.empty_like(self.log_kt)
 
     def row_lse(self, log_b) -> np.ndarray:
-        shift = np.add(self.log_kt, log_b[:, None], out=self.buf_t).max(axis=0)
-        np.add(self.log_k, log_b, out=self.buf)
-        np.subtract(self.buf, shift[:, None], out=self.buf)
-        out = np.log(np.exp(self.buf, out=self.buf).sum(axis=1))
+        buf = np.add(self.log_kt, log_b[:, None], out=self.buf)
+        shift = buf.max(axis=0)
+        np.subtract(buf, shift, out=buf)
+        out = np.log(_sum_over_items(np.exp(buf, out=buf)))
         out += shift
         return out
 
     def col_lse(self, log_a) -> np.ndarray:
-        shift = np.add(self.log_kt, log_a, out=self.buf_t).max(axis=1)
-        np.add(log_a[:, None], self.log_k, out=self.buf)
-        np.subtract(self.buf, shift, out=self.buf)
-        out = np.log(np.exp(self.buf, out=self.buf).sum(axis=0))
+        buf = np.add(self.log_kt, log_a, out=self.buf)
+        shift = buf.max(axis=1)
+        np.subtract(buf, shift[:, None], out=buf)
+        out = np.log(_sum_over_users(np.exp(buf, out=buf)))
         out += shift
         return out
 
     def coupling(self, log_a, log_b) -> tuple[np.ndarray, np.ndarray, float]:
-        """The product-form coupling, its column sums and its exact marginal error."""
-        pi = np.exp(log_a[:, None] + self.log_k + log_b[None, :])
-        col_sums = pi.sum(axis=0)
-        row_err = np.max(np.abs(pi.sum(axis=1) - self.inst.row_masses))
+        """The product-form coupling, its column sums and its exact marginal
+        error. The coupling is a fresh C-contiguous (n+1, m) array."""
+        buf = np.add(self.log_kt, log_a, out=self.buf)
+        np.add(buf, log_b[:, None], out=buf)
+        np.exp(buf, out=buf)
+        pi = buf.T.copy()
+        row_err = np.max(np.abs(_sum_over_items(buf) - self.inst.row_masses))
+        col_sums = _sum_over_users(buf)
         col_err = np.max(np.abs(col_sums - self.inst.col_masses))
         return pi, col_sums, float(max(row_err, col_err))
+
+
+# numpy sums a contiguous run pairwise: one by one below 8 values, in 8
+# strided partial sums up to this many, and by halves above it
+_PAIRWISE_BLOCK = 128
+
+
+def _sum_over_items(buf, lo=0, hi=None) -> np.ndarray:
+    """Sum of ``buf[lo:hi]`` over its rows, one total per user, in the order
+    numpy's pairwise summation adds a contiguous run of ``hi - lo`` values:
+    the order of ``sum(axis=1)`` on the (n+1, m) layout."""
+    hi = len(buf) if hi is None else hi
+    count = hi - lo
+    if count < 8:
+        out = buf[lo].copy() if count == 1 else buf[lo] + buf[lo + 1]
+        for i in range(lo + 2, hi):
+            out += buf[i]
+        return out
+    if count <= _PAIRWISE_BLOCK:
+        tail = hi - count % 8
+        r = buf[lo:lo + 8] + buf[lo + 8:lo + 16] if count >= 16 else buf[lo:lo + 8].copy()
+        for i in range(lo + 16, tail, 8):
+            r += buf[i:i + 8]
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(tail, hi):
+            out += buf[i]
+        return out
+    half = count // 2
+    half -= half % 8
+    return _sum_over_items(buf, lo, lo + half) + _sum_over_items(buf, lo + half, hi)
+
+
+def _sum_over_users(buf) -> np.ndarray:
+    """Sum of each row of ``buf``, one total per item, in the order of
+    ``sum(axis=0)`` on the (n+1, m) layout: one user after another, or, with
+    a single item, pairwise along the then contiguous column. Overwrites
+    ``buf`` with its running sums."""
+    if len(buf) == 1:
+        return buf.sum(axis=1)
+    return np.add.accumulate(buf, axis=1, out=buf)[:, -1].copy()
 
 
 def _sinkhorn(inst: OtInstance, iterations: int, log_b) -> SinkhornResult:

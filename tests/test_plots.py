@@ -1,9 +1,11 @@
 import hashlib
 import math
+from xml.dom import minidom
 
 import pytest
 
-from simca.bundle import SweepRow
+from simca.bundle import SweepRow, save_sweep
+from simca.cli import run_plot
 from simca.plots import render_sweep_chart, render_training_chart
 from simca.training import EpochRecord
 
@@ -97,6 +99,15 @@ def test_sweep_chart_multiple_params():
     svg = render_sweep_chart(rows)
     assert "F1 vs epsilon" in svg
     assert "F1 vs swap_rho" in svg
+
+
+def test_sweep_chart_escapes_markup_in_labels(tmp_path):
+    rows = [SweepRow(grid_param="a<b&c", grid_value=v, repeat=0, seed=1, final_f1_micro=0.5 + v)
+            for v in (0.1, 0.2)]
+    save_sweep(rows, tmp_path / "sweep.csv")
+    [svg] = run_plot(tmp_path, tmp_path / "plots", quiet=True)
+    texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+    assert "F1 vs a<b&c" in texts and "a<b&c" in texts
 
 
 def _flat_history():

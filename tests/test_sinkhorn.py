@@ -244,6 +244,42 @@ def test_matches_reference_loop_bit_for_bit(case, iterations):
                       reference_solve_ot(inst, iterations=iterations, log_b_init=log_b_init))
 
 
+@pytest.mark.parametrize("m, n, slack", [
+    (m, n, slack)
+    for m in (1, 2, 7, 8, 9, 16, 17, 128, 129, 257)
+    for n in (1, 300, 3000)
+    for slack in (False, True)
+    if slack or n >= m  # n < m users leave capacity over, so a slack row
+])
+def test_matches_reference_loop_on_every_summation_order(m, n, slack):
+    # numpy adds a row of m items one by one below 8, in 8 strided partial
+    # sums up to 128 and by halves above it, and a column pairwise when m=1;
+    # the hypothesis cases stop at n=40 and m=12
+    rng = np.random.default_rng(1000 * m + n + slack)
+    caps = 1 + rng.multinomial(max(n, m) - m + 5 * slack, np.full(m, 1.0 / m))
+    inst = extend_with_slack(rng.normal(size=(n, m)), caps, 0.3)
+    assert inst.affinity.shape[0] == n + slack
+    log_b_init = rng.normal(size=m)
+    for iterations in (1, 10):
+        _assert_same_bits(solve_ot(inst, iterations=iterations, log_b_init=log_b_init),
+                          reference_solve_ot(inst, iterations=iterations, log_b_init=log_b_init))
+    _assert_agrees(solve_ot(inst, tol=1e-10), reference_solve_ot(inst, tol=1e-10, max_iterations=20),
+                   inst, 1e-10)
+
+
+def test_fortran_ordered_affinity_matches_reference_loop():
+    # without a slack row the affinity passes through extend_with_slack; it
+    # comes out C-ordered, so the plain loop sums in the order the kernel keeps
+    rng = np.random.default_rng(12)
+    affinity = rng.normal(size=(40, 9))
+    caps = 1 + rng.multinomial(40 - 9, np.full(9, 1.0 / 9))
+    inst = extend_with_slack(np.asfortranarray(affinity), caps, 0.3)
+    assert inst.affinity.flags.c_contiguous
+    fast = solve_ot(inst, iterations=10)
+    for reference_inst in (inst, extend_with_slack(affinity, caps, 0.3)):
+        _assert_same_bits(fast, reference_solve_ot(reference_inst, iterations=10))
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracle_cases(), st.sampled_from([1e-6, 1e-10]), st.sampled_from([1, 2, 7, 1_000]))
 def test_tolerance_mode_agrees_with_reference_loop(case, tol, reference_cap):
