@@ -15,6 +15,13 @@ beyond it, where the excess is the number of users the row argmax puts over
 capacity. Ties are broken deterministically; on fully tied inputs the result
 is the lexicographically smallest assignment vector, as for the brute-force
 oracle.
+
+``solve_lap`` is the checked entry: it checks the scores and capacities,
+calls the kernel and scores its matching. ``round_coupling`` is the kernel,
+which training and evaluation call on every plan they round; it checks
+nothing and requires a finite float64 (n, m) matrix and an int64 vector of
+m nonnegative capacities that hold the n users. NaN scores would keep its
+excess drain from ending.
 """
 from __future__ import annotations
 
@@ -43,20 +50,35 @@ def solve_lap(scores, caps) -> LapSolution:
 
     When total capacity equals the number of users every capacity is used
     exactly; otherwise the surplus capacity stays empty. Optimality is exact.
-    The inputs are checked on every call: the excess drain never ends on NaN
-    scores, which an overflowing affinity produces from finite embeddings.
+    This is the checked entry: the scores must be a finite 2-D matrix and
+    ``caps`` pass ``check_capacities``; the matching comes from
+    ``round_coupling``, which checks nothing.
     """
     M = as_matrix(scores, "scores")
     caps = check_capacities(caps, *M.shape)
-    n = M.shape[0]
-    assign = np.argmax(M, axis=1)
+    assign = round_coupling(M, caps)
+    return LapSolution(matching=assign, objective=float(M[np.arange(len(M)), assign].sum()))
+
+
+def round_coupling(coupling, caps) -> np.ndarray:
+    """Optimal hard matching of a transport plan's entries: the LAP kernel.
+
+    Trusts its inputs, neither checks nor scores them and builds no
+    ``LapSolution``: ``coupling`` must be a finite float64 (n, m) array and
+    ``caps`` an int64 vector of m nonnegative capacities that hold the n
+    users, as ``check_capacities`` returns it. NaN entries would keep the
+    excess drain from ending. The callers guarantee this: ``solve_lap``
+    checks both; ``evaluate`` passes its plan through ``as_matrix``; a
+    training epoch rounds only after its loss came out finite, which needs a
+    finite plan, and its capacities come from a checked ``Dataset``.
+    """
+    assign = np.argmax(coupling, axis=1)
     counts = np.bincount(assign, minlength=len(caps))
     if np.any(counts > caps):
-        prices = _sort_single_excess(M, caps, assign, counts)
+        prices = _sort_single_excess(coupling, caps, assign, counts)
         if np.any(counts > caps):
-            assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
-    objective = float(M[np.arange(n), assign].sum())
-    return LapSolution(matching=assign, objective=objective)
+            assign = _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
+    return assign
 
 
 def _sort_single_excess(M, caps, assign, counts) -> list:
@@ -121,25 +143,28 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     an equal-length path through a later-settled item wins, so excess
     cascades through consecutive items.
 
+    An item's heaps are built when a round first reads one of them, from
+    the users the item holds then; a user arriving on an item is pushed only
+    into heaps already built. A round reads only the heaps of the items it
+    settles before its target, so items that only receive users never sort.
+
     While one item alone is over capacity and every other item strictly
     below it, the rounds are one sort, which ``_sort_single_excess`` runs
     first in O(n*m + n*log n). Each round left costs O(m^2 * log n).
     """
     m = len(caps)
     where = assign.tolist()
-    heaps = [[[] for _ in range(m)] for _ in range(m)]
-    for j in range(m):
-        users = np.flatnonzero(assign == j)
-        for k in range(m):
-            if k != j:
-                keys = M[users, j] - M[users, k]
-                ties = -users if k > j else users
-                order = np.lexsort((ties, keys))
-                # a sorted list is already a heap
-                heaps[j][k] = list(zip(keys[order].tolist(), ties[order].tolist(),
-                                       users[order].tolist()))
+    heaps = [None] * m
 
     def cheapest(j, k):
+        if heaps[j] is None:  # j's heaps, built on the first read from the users j holds then
+            users = np.flatnonzero(assign == j)
+            keys = M[users, j][:, None] - M[users]
+            ties = np.where(np.arange(m) > j, -users[:, None], users[:, None])
+            order = np.lexsort((ties, keys), axis=0)
+            # a sorted list is already a heap
+            heaps[j] = [[] if i == j else list(zip(keys[o, i].tolist(), ties[o, i].tolist(),
+                                                   users[o].tolist())) for i, o in enumerate(order.T)]
         heap = heaps[j][k]
         while where[heap[0][2]] != j:
             heapq.heappop(heap)  # stale: the user has moved on
@@ -179,12 +204,14 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
         counts[k] -= 1
         counts[target] += 1
         for u, dest in moves:
-            where[u] = dest
+            where[u] = assign[u] = dest
+            if heaps[dest] is None:
+                continue  # built from dest's users when first read
             row = M[u].tolist()
             for k in range(m):
                 if k != dest:
                     heapq.heappush(heaps[dest][k], (row[dest] - row[k], -u if k > dest else u, u))
-    return np.array(where, dtype=np.int64)
+    return assign
 
 
 def count_feasible_matchings(n: int, caps) -> int:
@@ -241,8 +268,3 @@ def brute_force_lap(scores, caps) -> LapSolution:
     recurse(0, 0.0)
     assert best is not None
     return LapSolution(matching=best, objective=float(best_obj))
-
-
-def round_coupling(coupling, caps) -> np.ndarray:
-    """Hard matching recovered from a transport plan: the LAP on its entries."""
-    return solve_lap(coupling, caps).matching

@@ -199,6 +199,7 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
                     value: float, repeat: int, master_seed: int) -> SweepRow:
     """Train and evaluate one (grid point, repeat) cell; errors become a row."""
     run_seed = derive_seed(master_seed, param, grid_index, repeat)
+    cell_key = dict(grid_param=param, grid_value=value, repeat=repeat, seed=run_seed)
     try:
         noise_seed = derive_seed(master_seed, param, grid_index, repeat, "noise")
         cell = {**cfg, "gauss_rho": 0.0, "swap_rho": 0.0, param: value}
@@ -212,16 +213,10 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
         )
         final_loss = result.history[-1].loss if result.history else math.nan
         dist = report.mean_embed_dist if report.mean_embed_dist is not None else math.nan
-        return SweepRow(
-            grid_param=param, grid_value=value, repeat=repeat, seed=run_seed,
-            final_loss=final_loss, final_f1_micro=report.f1_micro,
-            final_f1_macro=report.f1_macro, final_mean_embed_dist=dist,
-        )
+        return SweepRow(**cell_key, final_loss=final_loss, final_f1_micro=report.f1_micro,
+                        final_f1_macro=report.f1_macro, final_mean_embed_dist=dist)
     except Exception as exc:
-        return SweepRow(
-            grid_param=param, grid_value=value, repeat=repeat, seed=run_seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return SweepRow(**cell_key, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
@@ -338,7 +333,3 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

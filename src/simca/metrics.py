@@ -74,7 +74,8 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=Non
     affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
     result = solve_ot(inst, tol=EVAL_TOL)
-    coupling = result.user_coupling
+    # the LAP kernel trusts its plan: finite items can still overflow the affinity
+    coupling = as_matrix(result.user_coupling, "coupling")
     predicted = round_coupling(coupling, dataset.capacities)
     micro, macro, per_item = f1_scores(dataset.matching, predicted, dataset.n_items)
     dist = None

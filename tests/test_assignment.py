@@ -223,6 +223,60 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
     assert np.array_equal(sol.matching, [1, 2])
 
 
+def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
+    # item 3 holds no user and has no room, so the sort does not apply and the
+    # rounds start. Round 1 moves user 0 from item 0 to item 1, its target,
+    # which fills it; round 2 settles item 1 for the first time and builds its
+    # heaps from the users it holds then, so user 0 passes on along 0 -> 1 -> 2
+    # while user 1 takes its place.
+    M = np.array([[5.0, 4.9, 4.85, -100.0],
+                  [5.0, 4.8, 0.0, -100.0],
+                  [5.0, 0.0, 0.0, -100.0]])
+    caps = np.array([1, 1, 5, 0])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=4)
+    assert _sort_single_excess(M, caps, assign, counts) == [0.0] * 4
+    assert np.array_equal(counts, [3, 0, 0, 0])
+    expected = brute_force_lap(M, caps)
+    assert np.array_equal(expected.matching, [2, 1, 0])
+    assert np.array_equal(slot_expanded_lap(M, caps), expected.matching)
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, expected.matching)
+    assert sol.objective == expected.objective
+
+
+@st.composite
+def round_instances(draw):
+    """Scores whose row argmax leaves the sort out: a last item with no room
+    and no user, so the rounds drain every excess and build each heap late;
+    continuous or integer-tied scores."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(2, 4))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tied:
+        M = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    else:
+        M = rng.normal(size=(n, m))
+    M = np.column_stack([M, np.full(n, -100.0)])
+    caps = np.append(rng.multinomial(n, np.full(m, 1.0 / m)), 0)
+    caps[int(rng.integers(m))] += draw(st.integers(0, 2))  # slack
+    return M, caps, tied
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_instances())
+def test_rounds_alone_match_brute_force_and_slot_expanded_oracle(instance):
+    M, caps, tied = instance
+    matching = solve_lap(M, caps).matching
+    expected = brute_force_lap(M, caps)
+    assert M[np.arange(len(M)), matching].sum() == pytest.approx(expected.objective, abs=1e-12)
+    assert np.all(np.bincount(matching, minlength=len(caps)) <= caps)
+    if not tied:  # the oracles break ties their own ways
+        assert matching.tobytes() == expected.matching.tobytes()
+        assert matching.tobytes() == slot_expanded_lap(M, caps).tobytes()
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the Dijkstra rounds compare "
                    "float reduced costs, so keys near 2**53 round together")
 def test_rounds_order_keys_that_round_together_with_two_items_over():

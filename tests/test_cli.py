@@ -212,11 +212,9 @@ def test_pipeline_without_true_items(tmp_path):
     assert (tmp_path / "plots" / "training.svg").exists()
 
 
-@pytest.mark.parametrize("cap, converged", [(2, False), (None, True)],
-                         ids=["hits-the-cap", "converges"])
-def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, monkeypatch, cap, converged):
-    if cap is not None:
-        monkeypatch.setattr(simca.metrics, "solve_ot", functools.partial(solve_ot, max_iterations=cap))
+def _evaluate_true_items(tmp_path, capsys):
+    """Run ``simca evaluate`` on a small bundle's true items at epsilon 0.002;
+    returns the eval.json report and what went to stderr."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 30, "m": 3, "k": 2, "seed": 1,
                                   "extra_spots_per_item": 1, "epsilon": 0.002}))
@@ -229,9 +227,54 @@ def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, monkeypatc
     assert main(["evaluate", "--bundle", str(bundle), "--learned", str(learned),
                  "--config", str(config), "--out", str(tmp_path / "eval"), "--quiet"]) == 0
     report = json.loads((tmp_path / "eval" / "eval.json").read_text())
+    return report, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap, converged", [(2, False), (None, True)],
+                         ids=["hits-the-cap", "converges"])
+def test_evaluate_warns_when_the_solve_hits_the_cap(tmp_path, capsys, monkeypatch, cap, converged):
+    if cap is not None:
+        monkeypatch.setattr(simca.metrics, "solve_ot", functools.partial(solve_ot, max_iterations=cap))
+    report, err = _evaluate_true_items(tmp_path, capsys)
     assert report["converged"] is converged
-    warned = "did not reach its tolerance after 2 Newton steps" in capsys.readouterr().err
+    warned = "did not reach its tolerance after 2 Newton steps" in err
     assert warned is not converged
+
+
+def test_evaluate_warns_when_the_newton_system_is_singular(tmp_path, capsys, monkeypatch):
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    report, err = _evaluate_true_items(tmp_path, capsys)
+    assert report["converged"] is False and report["sinkhorn_iterations"] == 0
+    assert "did not reach its tolerance after 0 Newton steps" in err
+
+
+def test_commands_print_a_one_line_summary_unless_quiet(tmp_path, capsys):
+    config = str(write_config(tmp_path, {"epochs": 2, "epsilon_values": [0.1], "repeats": 2}))
+    bundle, run_dir, sweep_dir = tmp_path / "bundle", tmp_path / "run", tmp_path / "sweep"
+    plots = tmp_path / "plots"
+    commands = [
+        (["generate", "--config", config, "--out", str(bundle)],
+         f"wrote dataset bundle (40 users, 3 items) to {bundle}"),
+        (["train", "--bundle", str(bundle), "--config", config, "--out", str(run_dir)],
+         "trained 2 epochs: loss "),
+        (["evaluate", "--bundle", str(bundle), "--learned", str(run_dir), "--config", config,
+          "--out", str(tmp_path / "eval")], "evaluation: F1 micro "),
+        (["sweep", "--bundle", str(bundle), "--config", config, "--out", str(sweep_dir)],
+         f"sweep: 2 runs, 0 failed; wrote {sweep_dir / 'sweep.csv'}"),
+        (["plot", "--results", str(run_dir), "--out", str(plots)],
+         f"wrote {plots / 'training.svg'}"),
+    ]
+    capsys.readouterr()
+    for argv, summary in commands:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(summary) and captured.out.count("\n") == 1, argv
+        assert captured.err == ""
+        assert main([*argv, "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 def test_zero_epochs_writes_initialization(tmp_path):

@@ -130,8 +130,9 @@ def test_evaluate_rejects_malformed_learned_arrays():
 
 
 def test_evaluate_rejects_items_whose_affinity_overflows():
-    # finite items at 1.5e308 overflow the affinity, so the coupling reaching the
-    # LAP holds NaN; solve_lap's per-call check stops it (the excess drain would spin)
+    # finite items at 1.5e308 overflow the affinity, so the solve's coupling holds
+    # NaN; evaluate checks its plan before the LAP kernel, which checks nothing and
+    # whose excess drain would spin on NaN scores
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
     params = AffinityParams(alpha=ds.alpha, epsilon=0.2)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="contains non-finite"):

@@ -181,6 +181,19 @@ def test_unconverged_run_is_flagged():
     assert result.marginal_error > 1e-14
 
 
+def test_singular_newton_system_stops_unconverged(monkeypatch):
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    rng = np.random.default_rng(10)
+    inst = extend_with_slack(5.0 * rng.normal(size=(8, 3)), np.array([3, 3, 2]), 0.05)
+    result = solve_ot(inst, tol=1e-10)
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.marginal_error > 1e-10
+
+
 def test_stopping_mode_is_exclusive():
     inst = extend_with_slack(np.zeros((2, 2)), np.array([1, 1]), 0.5)
     with pytest.raises(ValueError):

@@ -216,6 +216,36 @@ def test_diverging_run_fails_loudly():
         train(ds, TrainConfig(seed=0, epochs=5, learning_rate=1.7e308))
 
 
+@pytest.mark.parametrize("extra_spots", [0, 2], ids=["tight", "slack"])
+@pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
+@pytest.mark.parametrize("epsilon", [0.001, 0.1, 2.0])
+def test_every_rounded_plan_is_finite_or_the_run_diverged(monkeypatch, epsilon, joint,
+                                                          extra_spots):
+    # the LAP kernel checks nothing, and NaN scores would spin its excess drain:
+    # an epoch rounds only after its loss came out finite, which needs a finite plan
+    finite = []
+
+    def recording_round(pi, caps):
+        finite.append(bool(np.isfinite(pi).all()))
+        return round_coupling(pi, caps)
+
+    monkeypatch.setattr(simca.training, "round_coupling", recording_round)
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=4,
+                                    extra_spots_per_item=extra_spots))
+    diverged = 0
+    for learning_rate in (0.01, 10.0, 1e10, 1e100, 1e300, 1.7e308):
+        config = TrainConfig(seed=0, epochs=4, epsilon=epsilon, learning_rate=learning_rate,
+                             joint_users=joint)
+        try:
+            with np.errstate(all="ignore"):
+                train(ds, config)
+        except ValueError as exc:
+            assert "diverged at epoch" in str(exc)
+            diverged += 1
+    assert finite and all(finite)
+    assert diverged >= 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
