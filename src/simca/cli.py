@@ -10,6 +10,8 @@ scored with the users it trained on. A sweep cell is a train run
 with one key set: the swept value replaces that key and every other noise
 level is zero. Sweep runs derive their seeds by hashing (master seed, grid
 point, repeat), which makes them reproducible and safe to execute in parallel.
+A cell's history is never written, so a cell overrides ``eval_every`` as it
+overrides ``seed``: it scores only its first and last epoch.
 
 Exit codes: 0 success, 1 validation error, 2 runtime/IO error, 3 partial
 sweep failure.
@@ -203,7 +205,9 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
     try:
         noise_seed = derive_seed(master_seed, param, grid_index, repeat, "noise")
         cell = {**cfg, "gauss_rho": 0.0, "swap_rho": 0.0, param: value}
-        train_cfg, result, users = _fit(dataset, cell, noise_seed, noise_seed, seed=run_seed)
+        # the history gives only the final loss, so the cell scores only its ends
+        train_cfg, result, users = _fit(dataset, cell, noise_seed, noise_seed, seed=run_seed,
+                                        eval_every=max(1, cell.get("epochs", TrainConfig.epochs)))
         # score against the original (uncorrupted) matching
         report = evaluate(
             dataset,

@@ -18,7 +18,7 @@ from simca.bundle import (
 )
 from simca.datagen import GenConfig, generate_dataset
 from simca.metrics import EvalReport
-from simca.training import EpochRecord
+from simca.training import EpochRecord, TrainConfig, train
 
 
 def test_matrix_csv_roundtrip_is_exact(tmp_path):
@@ -153,6 +153,18 @@ def test_history_roundtrip(tmp_path):
     assert back[0] == records[0]
     assert back[1].loss == records[1].loss
     assert np.isnan(back[1].mean_embed_dist)
+
+
+def test_history_with_unscored_epochs_roundtrips(tmp_path):
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=2, extra_spots_per_item=1))
+    history = train(ds, TrainConfig(seed=0, epochs=12, eval_every=5)).history
+    assert [r.epoch for r in history if not math.isnan(r.f1_micro)] == [0, 5, 10, 11]
+    path = tmp_path / "history.csv"
+    save_history(history, path)
+    back = load_history(path)
+    # NaN != NaN, so the rows compare through their text, which holds every bit
+    assert [repr(r) for r in back] == [repr(r) for r in history]
+    assert "nan" in path.read_text()
 
 
 def test_history_rejects_bad_header(tmp_path):

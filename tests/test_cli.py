@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import simca
+import simca.cli
 import simca.metrics
+import simca.training
+from simca.assignment import round_coupling
 from simca.bundle import load_dataset, load_history, load_sweep, read_matrix_csv
 from simca.cli import (
     ConfigError,
@@ -400,6 +403,36 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial, _ = run_sweep(bundle, cfg, tmp_path / "serial", jobs=1, quiet=True)
     parallel, _ = run_sweep(bundle, cfg, tmp_path / "parallel", jobs=2, quiet=True)
     assert serial == parallel
+
+
+def test_sweep_cells_score_only_their_first_and_last_epoch(tmp_path, monkeypatch):
+    # a cell reads only its final loss from the history and scores the rest
+    # with evaluate, so it rounds its coupling on epochs 0 and 7 alone
+    config = write_config(tmp_path, {"epsilon_values": [0.1, 0.5], "gauss_rho_values": [0.3],
+                                     "swap_rho_values": [0.2], "repeats": 2})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    cfg = load_config(config)
+    rounds = []
+
+    def counted_round(pi, caps):
+        rounds.append(pi.shape)
+        return round_coupling(pi, caps)
+
+    monkeypatch.setattr(simca.training, "round_coupling", counted_round)
+    thinned, failures = run_sweep(bundle, cfg, tmp_path / "thinned", jobs=1, quiet=True)
+    assert failures == 0 and len(thinned) == 8
+    assert len(rounds) == 2 * len(thinned)
+    # with the override taken away, every epoch is scored and the rows are the same
+    fit = simca.cli._fit
+    monkeypatch.setattr(simca.cli, "_fit",
+                        lambda *args, **overrides: fit(*args, **{**overrides, "eval_every": 1}))
+    rounds.clear()
+    every, _ = run_sweep(bundle, cfg, tmp_path / "every", jobs=1, quiet=True)
+    assert len(rounds) == SMALL_CONFIG["epochs"] * len(every)
+    assert every == thinned
+    assert (tmp_path / "every" / "sweep.csv").read_bytes() == \
+        (tmp_path / "thinned" / "sweep.csv").read_bytes()
 
 
 def test_alpha_defaults_to_the_bundle(tmp_path):

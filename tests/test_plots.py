@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import math
 from xml.dom import minidom
 
 import pytest
 
-from simca.bundle import SweepRow, save_sweep
-from simca.cli import run_plot
+from simca.bundle import SweepRow, save_history, save_sweep
+from simca.cli import main, run_plot
 from simca.plots import render_sweep_chart, render_training_chart
 from simca.training import EpochRecord
 
@@ -51,6 +52,32 @@ def test_training_chart_skips_nan_series():
     ]
     svg = render_training_chart(history)
     assert svg.count("<polyline") == 3  # distance series has no drawable points
+
+
+def test_training_chart_draws_scores_only_at_scored_epochs(tmp_path):
+    # an eval_every=5 history: loss every epoch, F1 and distance at 0, 5, 10 and 11
+    scored = {0, 5, 10, 11}
+    history = [
+        dataclasses.replace(r, **({} if r.epoch in scored else
+                                  {"f1_micro": math.nan, "f1_macro": math.nan,
+                                   "mean_embed_dist": math.nan}))
+        for r in _history(12)
+    ]
+    save_history(history, tmp_path / "history.csv")
+    assert main(["plot", "--results", str(tmp_path), "--out", str(tmp_path / "plots"),
+                 "--quiet"]) == 0
+    doc = minidom.parse(str(tmp_path / "plots" / "training.svg"))
+    lines = [node.getAttribute("points").split()
+             for node in doc.getElementsByTagName("polyline")]
+    assert [len(points) for points in lines] == [12, 4, 4, 4]  # loss, micro, macro, distance
+    # each score's points sit at the x of the scored epochs' loss points, shifted
+    # by one panel width: the panels share their epoch axis
+    loss_x = [float(point.split(",")[0]) for point in lines[0]]
+    scored_x = [x for epoch, x in enumerate(loss_x) if epoch in scored]
+    for points in lines[1:]:
+        shifts = {round(float(point.split(",")[0]) - x, 2) for point, x in zip(points, scored_x)}
+        assert len(shifts) == 1
+    assert render_training_chart(history) == (tmp_path / "plots" / "training.svg").read_text()
 
 
 def _sweep_rows():

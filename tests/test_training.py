@@ -1,5 +1,8 @@
 import collections
+import dataclasses
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import simca.training
 from helpers import converged_coupling, random_instance, reference_solve_ot, slack_extended_loss
 from simca.metrics import evaluate
 from simca.assignment import round_coupling
+from simca.cli import main
 from simca.metrics import f1_scores, mean_embedding_distance
 from simca.model import AffinityParams, compute_affinity, matching_matrix
 from simca.sinkhorn import extend_with_slack, matched_cross_entropy, ot_value, solve_ot
@@ -178,6 +182,59 @@ def test_train_zero_epochs_returns_initialization():
     assert result.items.shape == (3, 2)
     assert np.allclose(np.linalg.norm(result.items, axis=1), 1.0)
     assert result.users is None
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.5, True], ids=["zero", "negative", "fraction", "bool"])
+def test_eval_every_must_be_a_positive_integer(tmp_path, capsys, value):
+    with pytest.raises(ValueError, match="eval_every must be"):
+        TrainConfig(eval_every=value)
+    # the CLI key is the field's: a bad value exits 1 naming it, before the bundle is read
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 2, "eval_every": value}))
+    code = main(["train", "--bundle", str(tmp_path / "absent"), "--config", str(config),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    assert "eval_every" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_SCORE_COLUMNS = ("f1_micro", "f1_macro", "mean_embed_dist")
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
+@pytest.mark.parametrize("eval_every", [1, 3, 7])
+def test_eval_every_changes_only_the_unscored_rows(joint, eval_every):
+    # scoring never feeds the update: the learned embeddings, the loss and the
+    # gradient norm keep every bit, and an unscored row is NaN in its scores only
+    ds = _toy_dataset()
+    epochs = 10
+    every = train(ds, TrainConfig(seed=6, epochs=epochs, joint_users=joint))
+    thinned = train(ds, TrainConfig(seed=6, epochs=epochs, joint_users=joint,
+                                    eval_every=eval_every))
+    assert np.array_equal(thinned.items, every.items)
+    assert (thinned.users is None) == (not joint)
+    if joint:
+        assert np.array_equal(thinned.users, every.users)
+    assert len(thinned.history) == epochs
+    scored = {e for e in range(epochs) if e % eval_every == 0} | {epochs - 1}
+    for row, full in zip(thinned.history, every.history):
+        assert (row.epoch, row.loss, row.grad_norm) == (full.epoch, full.loss, full.grad_norm)
+        if row.epoch in scored:
+            assert row == full
+        else:
+            assert all(math.isnan(getattr(row, name)) for name in _SCORE_COLUMNS)
+            assert all(not math.isnan(getattr(full, name)) for name in _SCORE_COLUMNS)
+            assert dataclasses.replace(row, **{n: getattr(full, n) for n in _SCORE_COLUMNS}) == full
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 2, 5])
+def test_the_final_epoch_is_always_scored(epochs):
+    # an eval_every beyond the run scores epoch 0 and the last one
+    result = train(_toy_dataset(), TrainConfig(seed=1, epochs=epochs, eval_every=100))
+    assert len(result.history) == epochs
+    assert result.items.shape == (3, 2) and np.isfinite(result.items).all()
+    unscored = [r.epoch for r in result.history if math.isnan(r.f1_micro)]
+    assert unscored == list(range(1, epochs - 1))
 
 
 def test_train_is_deterministic():
@@ -392,8 +449,13 @@ def _layer_functions():
 _STALE_BINDINGS = {(simca.training, "cross_entropy_loss")}
 
 
-@pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
-def test_the_traced_bindings_are_the_ones_that_run(monkeypatch, joint):
+@pytest.mark.parametrize("joint, eval_every", [
+    pytest.param(False, 1, id="items"),
+    pytest.param(True, 1, id="joint"),
+    pytest.param(False, 3, id="items-eval-every-3"),
+    pytest.param(True, 3, id="joint-eval-every-3"),
+])
+def test_the_traced_bindings_are_the_ones_that_run(monkeypatch, joint, eval_every):
     layers = _layer_functions()
     for module, attr, _ in layers:
         assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
@@ -410,11 +472,16 @@ def test_the_traced_bindings_are_the_ones_that_run(monkeypatch, joint):
                and (module, attr) not in _STALE_BINDINGS]
     for module, attr in watched:
         monkeypatch.setattr(module, attr, counted((module, attr), getattr(module, attr)))
-    epochs = 3
+    epochs = 5
     ds = _toy_dataset(n=30)
-    result = train(ds, TrainConfig(seed=0, epochs=epochs, joint_users=joint))
+    result = train(ds, TrainConfig(seed=0, epochs=epochs, joint_users=joint,
+                                   eval_every=eval_every))
     expected = {(module, attr): epochs for module, attr in watched if module is simca.training}
     expected[(simca.training, "adam_step")] = epochs * (2 if joint else 1)
+    # the scoring runs on epochs 0 and 3 and on the final epoch 4 at eval_every=3
+    scored = epochs if eval_every == 1 else 3
+    for attr in ("round_coupling", "f1_scores", "mean_embedding_distance"):
+        expected[(simca.training, attr)] = scored
     assert counts == expected
     counts.clear()
     evaluate(ds, result.items, AffinityParams(0.3, 0.1), users_eval=result.users)
