@@ -6,15 +6,15 @@ n unit-supply users and m items, solved as a min-cost flow over the items:
 every user starts on its best item, and successive shortest paths with m
 item prices move the excess of over-full items to items with free capacity.
 
-When the row argmax leaves exactly one item over capacity and every other
-item strictly below it, each shortest path is a single move out of that
-item, so one sort of its users replaces those rounds until a destination
-fills; the rounds drain what excess is left. Memory is O(n*m) and time
-O(n*m + n*log n) in that regime, and O(n*m*log n + excess*m^2*log n)
-beyond it, where the excess is the number of users the row argmax puts over
-capacity. Ties are broken deterministically; on fully tied inputs the result
-is the lexicographically smallest assignment vector, as for the brute-force
-oracle.
+While every item is either over capacity or strictly below it, however
+many items are over, each shortest path is a single move out of an
+over-full item, so one sort of their users replaces those rounds until an
+over-full item reaches its capacity or a destination fills; the rounds drain
+what excess is left. Memory is O(n*m) and time O(n*m + n*log n) in that
+regime, and O(n*m*log n + excess*m^2*log n) beyond it, where the excess is
+the number of users the row argmax puts over capacity. Ties are broken
+deterministically; on fully tied inputs the result is the lexicographically
+smallest assignment vector, as for the brute-force oracle.
 
 ``solve_lap`` is the checked entry: it checks the scores and capacities,
 calls the kernel and scores its matching. ``round_coupling`` is the kernel,
@@ -75,58 +75,84 @@ def round_coupling(coupling, caps) -> np.ndarray:
     assign = np.argmax(coupling, axis=1)
     counts = np.bincount(assign, minlength=len(caps))
     if np.any(counts > caps):
-        prices = _sort_single_excess(coupling, caps, assign, counts)
+        prices = _sort_excess(coupling, caps, assign, counts)
         if np.any(counts > caps):
             assign = _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
     return assign
 
 
-def _sort_single_excess(M, caps, assign, counts) -> list:
-    """The rounds of ``_drain_excess`` while one item j alone is over
-    capacity and every other item is strictly below it, as one sort.
+def _sort_excess(M, caps, assign, counts) -> list:
+    """The rounds of ``_drain_excess`` while every item is either over
+    capacity (a source) or strictly below it, as one sort.
 
-    Each such round settles j, then the lowest-index item k with the
-    smallest key M[u, j] - M[u, k] over the users u on j; it moves the top
-    of heap (j, k) to k and raises only j's price, by that key minus the
-    price. So the users leave j in lexicographic order of their cheapest key,
-    their first cheapest destination and the heap tie rule, and the phase
-    ends when the excess is gone or after the move that fills a destination.
-    The sort compares the keys themselves; the rounds compare them less j's
+    Each such round settles every source at distance 0, so all sources share
+    one price, which rises by the round's distance, and every shortest path
+    is one move from a source s to an item k with room, at the key
+    M[u, s] - M[u, k] less that price. So each user u on a source leaves by
+    its cheapest key c_u, to its lowest-index cheapest item k_u, and the
+    users leave in the order in which the rounds settle their moves:
+    - at a key above the price, by (c_u, k_u, -s, heap tie): Dijkstra
+      settles the lowest item at the least distance, through the last source
+      that reached it;
+    - at a key equal to the price, k_u settles at distance 0 before every
+      source of higher index that is still unsettled, so after the sources up
+      to rank max(rank of s, sources below k_u); that rank comes first, then
+      (k_u, -s, heap tie). The first move of each key above the price
+      raises the price to it, so the other users with that key follow at 0.
+    The phase ends after the move that empties a source's excess or fills an
+    item with room, and before a move whose key the rounds would see at
+    another distance than the sort assumed: the price is raised in floats,
+    and p + (c - p) can miss c, so those users are left to the rounds. The
+    sort compares the keys themselves; the rounds compare them less the
     price, where two keys near 2**53 can round to one value, so there the
     sort keeps the exact order and the rounds may not.
     Moves users in ``assign`` and ``counts`` in place and returns the item
     prices the rounds would hold, all zero outside the regime.
     """
     m = len(caps)
-    prices = [0.0] * m
-    over = np.flatnonzero(counts > caps)
-    if len(over) != 1 or np.count_nonzero(counts < caps) != m - 1:
-        return prices
-    j = int(over[0])
-    users = np.flatnonzero(assign == j)
-    others = np.flatnonzero(np.arange(m) != j)
-    keys = M[users, j][:, None] - M[users][:, others]
+    gap = counts - caps
+    if not gap.all():
+        return [0.0] * m
+    over = gap > 0
+    room = np.flatnonzero(~over)
+    users = np.flatnonzero(over[assign])
+    home = assign[users]
+    rows = M[users]
+    line = np.arange(len(users))
+    keys = rows[line, home][:, None] - rows[:, room]
     best = np.argmin(keys, axis=1)
-    cost = keys[np.arange(len(users)), best]
-    dest = others[best]
-    ties = np.where(dest > j, -users, users)
-    order = np.lexsort((ties, dest, cost))[: counts[j] - caps[j]]
-    dest = dest[order]
-    seen = np.cumsum(dest[:, None] == np.arange(m), axis=0)[np.arange(len(dest)), dest]
-    filled = np.flatnonzero(seen == (caps - counts)[dest])
-    moves = filled[0] + 1 if len(filled) else len(dest)
-    assign[users[order[:moves]]] = dest[:moves]
-    counts[:] = np.bincount(assign, minlength=m)
-    price = 0.0
-    for c in cost[order[:moves]].tolist():
+    cost = keys[line, best]
+    dest = room[best]
+    ties = np.where(dest > home, -users, users)
+    order = np.lexsort((ties, -home, dest, cost))
+    step = cost[order]
+    if (step[1:] == step[:-1]).any():  # the settle rank orders equal keys, and only them
+        below = over.cumsum()  # sources at or below each item
+        rank = np.maximum(below[home], below[dest])[order]
+        rank[step > np.concatenate(([0.0], step[:-1]))] = 0  # each key's first move
+        order = order[np.lexsort((rank, step))]
+    order = order[: gap[over].sum()]
+    left = np.abs(gap).tolist()  # excess of each source, room of each destination
+    price = last = 0.0
+    moves = 0
+    for c, j, k in zip(cost[order].tolist(), home[order].tolist(), dest[order].tolist()):
+        if (c == price) != (c == last):
+            break  # the rounds see this key at another distance than the order assumes
         price += c - price  # the rounds' own arithmetic, so the prices carry on exactly
-    prices[j] = price
-    return prices
+        last = c
+        moves += 1
+        left[j] -= 1
+        left[k] -= 1
+        if not (left[j] and left[k]):
+            break
+    assign[users[order[:moves]]] = dest[order[:moves]]
+    counts[:] = np.bincount(assign, minlength=m)
+    return np.where(over, price, 0.0).tolist()
 
 
 def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     """Successive shortest paths over the items, from the row-argmax start
-    or from where ``_sort_single_excess`` stopped, with its prices.
+    or from where ``_sort_excess`` stopped, with its prices.
 
     Every user sits on an item maximizing M[u, j] - prices[j]. Moving user u
     from j to k then has nonnegative reduced cost
@@ -148,9 +174,9 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     into heaps already built. A round reads only the heaps of the items it
     settles before its target, so items that only receive users never sort.
 
-    While one item alone is over capacity and every other item strictly
-    below it, the rounds are one sort, which ``_sort_single_excess`` runs
-    first in O(n*m + n*log n). Each round left costs O(m^2 * log n).
+    While every item is either over capacity or strictly below it, however
+    many are over, the rounds are one sort, which ``_sort_excess`` runs first
+    in O(n*m + n*log n). Each round left costs O(m^2 * log n).
     """
     m = len(caps)
     where = assign.tolist()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import slot_expanded_lap
 from simca.assignment import (
     _drain_excess,
-    _sort_single_excess,
+    _sort_excess,
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
@@ -203,7 +203,7 @@ def test_sorted_drain_stops_at_a_full_item_and_the_rounds_finish():
     caps = np.array([1, 1, 3])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=3)
-    prices = _sort_single_excess(M, caps, assign, counts)
+    prices = _sort_excess(M, caps, assign, counts)
     assert np.array_equal(assign, [0, 0, 1, 0]) and np.array_equal(counts, [3, 1, 0])
     assert prices == [0.5, 0.0, 0.0]
     expected = brute_force_lap(M, caps)
@@ -224,18 +224,19 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
 
 
 def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
-    # item 3 holds no user and has no room, so the sort does not apply and the
-    # rounds start. Round 1 moves user 0 from item 0 to item 1, its target,
-    # which fills it; round 2 settles item 1 for the first time and builds its
-    # heaps from the users it holds then, so user 0 passes on along 0 -> 1 -> 2
-    # while user 1 takes its place.
+    # item 3 holds no user and has no room, so it is neither over capacity nor
+    # below it, the sort does not apply and the rounds start. Round 1 moves
+    # user 0 from item 0 to item 1, its target, which fills it; round 2
+    # settles item 1 for the first time and builds its heaps from the users it
+    # holds then, so user 0 passes on along 0 -> 1 -> 2 while user 1 takes its
+    # place.
     M = np.array([[5.0, 4.9, 4.85, -100.0],
                   [5.0, 4.8, 0.0, -100.0],
                   [5.0, 0.0, 0.0, -100.0]])
     caps = np.array([1, 1, 5, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
-    assert _sort_single_excess(M, caps, assign, counts) == [0.0] * 4
+    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
     assert np.array_equal(counts, [3, 0, 0, 0])
     expected = brute_force_lap(M, caps)
     assert np.array_equal(expected.matching, [2, 1, 0])
@@ -277,12 +278,12 @@ def test_rounds_alone_match_brute_force_and_slot_expanded_oracle(instance):
         assert matching.tobytes() == slot_expanded_lap(M, caps).tobytes()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the Dijkstra rounds compare "
-                   "float reduced costs, so keys near 2**53 round together")
 def test_rounds_order_keys_that_round_together_with_two_items_over():
     # the row argmax puts users 0 and 1 on item 0 and user 2 on item 1, which
-    # have no room, so the sort does not apply; the rounds compare reduced
-    # costs in floats and send user 1 to item 2, an objective lower by exactly 2
+    # have no room, while items 2 and 3 have room: the sort drains both
+    # over-full items and compares the keys 2**53 + 4 and 2**53 + 6 exactly,
+    # where the rounds would compare them less item 0's price of 1, as one
+    # value, and send user 1 to item 2, an objective lower by exactly 2
     big = 2.0**53
     M = np.array([[1.0, -1e17, 0.0, -1e17],
                   [0.0, -1e17, -(big + 6), -(big + 4)],
@@ -293,47 +294,159 @@ def test_rounds_order_keys_that_round_together_with_two_items_over():
     assert np.array_equal(solve_lap(M, caps).matching, expected.matching)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the Dijkstra rounds compare "
+                   "float reduced costs, so keys near 2**53 round together")
+def test_rounds_order_keys_that_round_together_after_a_full_item():
+    # item 3 holds user 2 and is full, so the sort does not apply and the rounds
+    # drain item 0. Round 1 sends user 0 to item 1 and raises item 0's price to
+    # 1; round 2 compares user 1's keys 2**53 + 6 and 2**53 + 4 less that
+    # price, which round to one value, so user 1 goes to the lower item 1 at an
+    # objective lower by exactly 2
+    big = 2.0**53
+    M = np.array([[1.0, 0.0, -1e17, -1e17],
+                  [0.0, -(big + 6), -(big + 4), -1e17],
+                  [-1e17, -1e17, -1e17, 0.0]])
+    caps = np.array([0, 2, 2, 1])
+    assign = np.argmax(M, axis=1)
+    assert _sort_excess(M, caps, assign, np.bincount(assign, minlength=4)) == [0.0] * 4
+    expected = brute_force_lap(M, caps)
+    assert np.array_equal(expected.matching, [1, 2, 3])
+    assert np.array_equal(solve_lap(M, caps).matching, expected.matching)
+
+
+def test_sorted_drain_over_two_items_moves_equal_keys_in_settle_order():
+    # items 0 and 3 are over capacity, items 1 and 2 have room, and every move
+    # costs 1. The first move has a key above the price 0, so Dijkstra reaches
+    # item 1 from both sources at distance 1 and takes the last one settled:
+    # user 0 leaves item 3. The price is 1 now, so item 0 reaches item 1 at
+    # distance 0 and item 1 settles before item 3: user 1 leaves item 0, which
+    # ends its excess, and the rounds finish. Two users from item 3 first would
+    # be the wrong order.
+    M = np.array([[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0, 1.0]])
+    caps = np.array([0, 2, 2, 0])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=4)
+    assert np.array_equal(assign, [3, 0, 3])
+    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
+    assert _sort_excess(M, caps, assign, counts) == [1.0, 0.0, 0.0, 1.0]
+    assert np.array_equal(assign, [1, 1, 3]) and np.array_equal(counts, [0, 2, 0, 1])
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 2, 1])
+    assert sol.objective == brute_force_lap(M, caps).objective
+
+
+def test_sorted_drain_over_two_items_moves_a_key_above_the_price_through_the_last_source():
+    # items 2 and 3 are over capacity and both users on them cost 1 to move to
+    # item 0, which has room for one. Above the price, Dijkstra takes the last
+    # source that reached item 0, so user 1 leaves item 3, although item 2
+    # ranks first among the sources; item 0 is full then, and the rounds finish.
+    M = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 2.0, 0.0]])
+    caps = np.array([2, 1, 0, 0])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=4)
+    assert np.array_equal(assign, [2, 3, 0])
+    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
+    assert _sort_excess(M, caps, assign, counts) == [0.0, 0.0, 1.0, 1.0]
+    assert np.array_equal(assign, [2, 0, 0]) and np.array_equal(counts, [2, 0, 1, 0])
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [0, 1, 0])
+    assert sol.objective == brute_force_lap(M, caps).objective
+
+
+def test_sorted_drain_leaves_equal_keys_to_the_rounds_when_the_price_misses_them():
+    # user 3 leaves item 3 first, at the key 0.4 - 0.1 = 0.30000000000000004,
+    # then user 0 at the key 2.4, which raises the price to
+    # 0.30000000000000004 + (2.4 - 0.30000000000000004) = 2.3999999999999995.
+    # Users 1 and 2 also have the key 2.4, but the rounds see them at a small
+    # distance above 0, not at 0, and move user 2 from item 3 next; the sort
+    # stops before them and the rounds finish
+    M = np.array([[0.0, 0.0, 0.0, 2.4], [4.8, 2.4, 2.4, 4.8],
+                  [0.0, 0.0, 0.0, 2.4], [0.0, -9.0, 0.1, 0.4]])
+    caps = np.array([0, 2, 2, 0])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=4)
+    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
+    price = 0.4 - 0.1
+    price += 2.4 - price
+    assert price < 2.4
+    assert _sort_excess(M, caps, assign, counts) == [price, 0.0, 0.0, price]
+    assert np.array_equal(assign, [1, 0, 3, 2])
+    sol = solve_lap(M, caps)
+    assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 1, 2, 2])
+    assert sol.objective == brute_force_lap(M, caps).objective
+
+
+def test_large_generated_instance_sorts_two_over_full_items():
+    # the n=3000 generation: the row argmax puts items 1 and 2 over capacity
+    # and leaves item 0 with room; the sort takes 829 of the rounds' moves
+    ds = generate_dataset(GenConfig(n=3000, seed=7))
+    affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
+    assign = np.argmax(affinity, axis=1)
+    counts = np.bincount(assign, minlength=ds.n_items)
+    assert np.array_equal(counts > ds.capacities, [False, True, True])
+    rounds = _drain_excess(affinity, ds.capacities.tolist(), assign.copy(), counts.tolist(),
+                           [0.0] * ds.n_items)
+    start = assign.copy()
+    _sort_excess(affinity, ds.capacities, assign, counts)
+    assert np.count_nonzero(assign != start) == 829
+    assert ds.matching.tobytes() == rounds.tobytes()
+    assert solve_lap(affinity, ds.capacities).matching.tobytes() == rounds.tobytes()
+
+
 @st.composite
-def favoured_instances(draw):
-    """Scores with one item favoured, so the row argmax puts it alone over
-    capacity while every other item keeps room; continuous or integer-tied
-    scores, tight total capacity or slack."""
+def favoured_instances(draw, several=False):
+    """Scores with one favoured item, or with two or more when ``several``,
+    so the row argmax puts each of them over capacity while every other item
+    keeps room; continuous or integer-tied scores, tight total capacity or
+    slack."""
     n = draw(st.integers(2, 40))
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(3, 6) if several else st.integers(2, 5))
     tied = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    j = int(rng.integers(m))
+    over = rng.choice(m, size=int(rng.integers(2, m)) if several else 1, replace=False)
     if tied:
         M = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
-        M[:, j] += rng.integers(1, 3)
+        M[:, over] += rng.integers(1, 3, size=len(over))
     else:
         M = rng.normal(size=(n, m))
-        M[:, j] += rng.uniform(0.5, 3.0)
+        M[:, over] += rng.uniform(0.5, 3.0, size=len(over))
     counts = np.bincount(M.argmax(axis=1), minlength=m)
-    assume(counts[j] >= m - 1)
-    excess = int(rng.integers(m - 1, counts[j] + 1))
-    others = np.flatnonzero(np.arange(m) != j)
+    assume(np.all(counts[over] > 0))
     caps = counts.copy()
-    caps[j] -= excess
-    caps[others] += 1 + rng.multinomial(excess - (m - 1), np.full(m - 1, 1.0 / (m - 1)))
+    caps[over] -= rng.integers(1, counts[over] + 1)
+    others = np.setdiff1d(np.arange(m), over)
+    # one spot more on every other item, and the rest of the excess spread
+    # over them; an excess below len(others) leaves slack
+    spare = max(int(np.sum(counts[over] - caps[over])) - len(others), 0)
+    caps[others] += 1 + rng.multinomial(spare, np.full(len(others), 1.0 / len(others)))
     if draw(st.booleans()):
         caps[rng.choice(others)] += int(rng.integers(1, 4))  # slack
     return M, caps, tied
 
 
-@settings(max_examples=300, deadline=None)
-@given(favoured_instances())
-def test_sorted_drain_matches_the_rounds_and_slot_expanded_oracle(instance):
-    M, caps, tied = instance
+def _sorted_drain_matches_the_rounds(M, caps, tied, several):
     m = len(caps)
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=m)
-    assert np.sum(counts > caps) == 1 and np.sum(counts < caps) == m - 1
+    assert (np.sum(counts > caps) > 1) == several
+    assert np.sum(counts > caps) + np.sum(counts < caps) == m
     rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * m)
     matching = solve_lap(M, caps).matching
     assert matching.tobytes() == rounds.tobytes()
     if not tied:  # the oracle breaks ties its own way
         assert matching.tobytes() == slot_expanded_lap(M, caps).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(favoured_instances())
+def test_sorted_drain_matches_the_rounds_and_slot_expanded_oracle(instance):
+    _sorted_drain_matches_the_rounds(*instance, several=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(favoured_instances(several=True))
+def test_sorted_drain_over_several_items_matches_the_rounds_and_slot_expanded_oracle(instance):
+    _sorted_drain_matches_the_rounds(*instance, several=True)
 
 
 @st.composite
