@@ -9,10 +9,11 @@ item prices move the excess of over-full items to items with free capacity.
 While every item is either over capacity or strictly below it, however
 many items are over, each shortest path is a single move out of an
 over-full item, so one sort of their users replaces those rounds until an
-over-full item reaches its capacity or a destination fills; the rounds drain
-what excess is left. Memory is O(n*m) and time O(n*m + n*log n) in that
-regime, and O(n*m*log n + excess*m^2*log n) beyond it, where the excess is
-the number of users the row argmax puts over capacity. Ties are broken
+over-full item reaches its capacity, a destination fills or two users share
+a key; the rounds drain what excess is left and alone break ties. Memory is
+O(n*m) and time O(n*m + n*log n) in that regime, and
+O(n*m*log n + excess*m^2*log n) beyond it, where the excess is the number
+of users the row argmax puts over capacity. Ties are broken
 deterministically; on fully tied inputs the result is the lexicographically
 smallest assignment vector, as for the brute-force oracle.
 
@@ -89,23 +90,16 @@ def _sort_excess(M, caps, assign, counts) -> list:
     one price, which rises by the round's distance, and every shortest path
     is one move from a source s to an item k with room, at the key
     M[u, s] - M[u, k] less that price. So each user u on a source leaves by
-    its cheapest key c_u, to its lowest-index cheapest item k_u, and the
-    users leave in the order in which the rounds settle their moves:
-    - at a key above the price, by (c_u, k_u, -s, heap tie): Dijkstra
-      settles the lowest item at the least distance, through the last source
-      that reached it;
-    - at a key equal to the price, k_u settles at distance 0 before every
-      source of higher index that is still unsettled, so after the sources up
-      to rank max(rank of s, sources below k_u); that rank comes first, then
-      (k_u, -s, heap tie). The first move of each key above the price
-      raises the price to it, so the other users with that key follow at 0.
-    The phase ends after the move that empties a source's excess or fills an
-    item with room, and before a move whose key the rounds would see at
-    another distance than the sort assumed: the price is raised in floats,
-    and p + (c - p) can miss c, so those users are left to the rounds. The
-    sort compares the keys themselves; the rounds compare them less the
-    price, where two keys near 2**53 can round to one value, so there the
-    sort keeps the exact order and the rounds may not.
+    its cheapest key c_u, to its lowest-index cheapest item, and while the
+    keys are distinct and above the price each round has one choice: the
+    least key left, which raises the price to it. The sort moves the users in
+    that order, up to the first key two users share, and stops after the
+    move that empties a source's excess or fills an item with room, or before
+    a key at or below the price (p + (c - p) can land above c): ties, and
+    keys at the price, where an item with room settles among the sources, are
+    the rounds'. The sort compares the keys themselves; the rounds compare
+    them less the price, where two keys near 2**53 can round to one value, so
+    there the sort keeps the exact order and the rounds may not.
     Moves users in ``assign`` and ``counts`` in place and returns the item
     prices the rounds would hold, all zero outside the regime.
     """
@@ -123,23 +117,16 @@ def _sort_excess(M, caps, assign, counts) -> list:
     best = np.argmin(keys, axis=1)
     cost = keys[line, best]
     dest = room[best]
-    ties = np.where(dest > home, -users, users)
-    order = np.lexsort((ties, -home, dest, cost))
-    step = cost[order]
-    if (step[1:] == step[:-1]).any():  # the settle rank orders equal keys, and only them
-        below = over.cumsum()  # sources at or below each item
-        rank = np.maximum(below[home], below[dest])[order]
-        rank[step > np.concatenate(([0.0], step[:-1]))] = 0  # each key's first move
-        order = order[np.lexsort((rank, step))]
-    order = order[: gap[over].sum()]
+    order = np.argsort(cost, kind="stable")
+    shared = np.flatnonzero(np.diff(cost[order]) == 0)  # the rounds break ties: stop before them
+    order = order[: min(gap[over].sum(), shared[0] if len(shared) else len(order))]
     left = np.abs(gap).tolist()  # excess of each source, room of each destination
-    price = last = 0.0
+    price = 0.0
     moves = 0
     for c, j, k in zip(cost[order].tolist(), home[order].tolist(), dest[order].tolist()):
-        if (c == price) != (c == last):
-            break  # the rounds see this key at another distance than the order assumes
+        if c <= price:
+            break  # at the price, the destination would settle among the sources
         price += c - price  # the rounds' own arithmetic, so the prices carry on exactly
-        last = c
         moves += 1
         left[j] -= 1
         left[k] -= 1
@@ -175,8 +162,9 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     settles before its target, so items that only receive users never sort.
 
     While every item is either over capacity or strictly below it, however
-    many are over, the rounds are one sort, which ``_sort_excess`` runs first
-    in O(n*m + n*log n). Each round left costs O(m^2 * log n).
+    many are over, the rounds up to the first shared key are one sort, which
+    ``_sort_excess`` runs first in O(n*m + n*log n); its tie order is this
+    function's. Each round left costs O(m^2 * log n).
     """
     m = len(caps)
     where = assign.tolist()

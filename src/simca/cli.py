@@ -152,9 +152,12 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     save_history(result.history, out / "history.csv")
     write_matrix_csv(out / "items_learned.csv", result.items)
-    # learned or noised users are not the bundle's; evaluate scores with this file
+    # learned or noised users are not the bundle's; evaluate scores with this
+    # file, so a run on the bundle's users removes one an earlier run left
     if users is not dataset.users:
         write_matrix_csv(out / "users_learned.csv", users)
+    else:
+        (out / "users_learned.csv").unlink(missing_ok=True)
     if result.history:
         last = result.history[-1]
         _info(quiet, f"trained {len(result.history)} epochs: "

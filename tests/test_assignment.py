@@ -316,20 +316,20 @@ def test_rounds_order_keys_that_round_together_after_a_full_item():
 
 def test_sorted_drain_over_two_items_moves_equal_keys_in_settle_order():
     # items 0 and 3 are over capacity, items 1 and 2 have room, and every move
-    # costs 1. The first move has a key above the price 0, so Dijkstra reaches
-    # item 1 from both sources at distance 1 and takes the last one settled:
-    # user 0 leaves item 3. The price is 1 now, so item 0 reaches item 1 at
-    # distance 0 and item 1 settles before item 3: user 1 leaves item 0, which
-    # ends its excess, and the rounds finish. Two users from item 3 first would
-    # be the wrong order.
+    # costs 1, so the sort stops before the shared key and the rounds move all
+    # three users. Round 1 reaches item 1 from both sources at distance 1 and
+    # takes the last one settled: user 0 leaves item 3. The price is 1 now, so
+    # item 0 reaches item 1 at distance 0 and item 1 settles before item 3:
+    # user 1 leaves item 0, which ends its excess. Two users from item 3 first
+    # would be the wrong order.
     M = np.array([[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0, 1.0]])
     caps = np.array([0, 2, 2, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
     assert np.array_equal(assign, [3, 0, 3])
     rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
-    assert _sort_excess(M, caps, assign, counts) == [1.0, 0.0, 0.0, 1.0]
-    assert np.array_equal(assign, [1, 1, 3]) and np.array_equal(counts, [0, 2, 0, 1])
+    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
+    assert np.array_equal(assign, [3, 0, 3]) and np.array_equal(counts, [1, 0, 0, 2])
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 2, 1])
     assert sol.objective == brute_force_lap(M, caps).objective
@@ -337,17 +337,18 @@ def test_sorted_drain_over_two_items_moves_equal_keys_in_settle_order():
 
 def test_sorted_drain_over_two_items_moves_a_key_above_the_price_through_the_last_source():
     # items 2 and 3 are over capacity and both users on them cost 1 to move to
-    # item 0, which has room for one. Above the price, Dijkstra takes the last
-    # source that reached item 0, so user 1 leaves item 3, although item 2
-    # ranks first among the sources; item 0 is full then, and the rounds finish.
+    # item 0, which has room for one, so the sort stops before the shared key.
+    # Above the price, Dijkstra takes the last source that reached item 0, so
+    # user 1 leaves item 3, although item 2 ranks first among the sources;
+    # item 0 is full then, and the next round moves user 0.
     M = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 2.0, 0.0]])
     caps = np.array([2, 1, 0, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
     assert np.array_equal(assign, [2, 3, 0])
     rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
-    assert _sort_excess(M, caps, assign, counts) == [0.0, 0.0, 1.0, 1.0]
-    assert np.array_equal(assign, [2, 0, 0]) and np.array_equal(counts, [2, 0, 1, 0])
+    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
+    assert np.array_equal(assign, [2, 3, 0]) and np.array_equal(counts, [1, 0, 1, 1])
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [0, 1, 0])
     assert sol.objective == brute_force_lap(M, caps).objective
@@ -355,11 +356,11 @@ def test_sorted_drain_over_two_items_moves_a_key_above_the_price_through_the_las
 
 def test_sorted_drain_leaves_equal_keys_to_the_rounds_when_the_price_misses_them():
     # user 3 leaves item 3 first, at the key 0.4 - 0.1 = 0.30000000000000004,
-    # then user 0 at the key 2.4, which raises the price to
-    # 0.30000000000000004 + (2.4 - 0.30000000000000004) = 2.3999999999999995.
-    # Users 1 and 2 also have the key 2.4, but the rounds see them at a small
-    # distance above 0, not at 0, and move user 2 from item 3 next; the sort
-    # stops before them and the rounds finish
+    # which the sort moves alone. Users 0, 1 and 2 share the key 2.4, so the
+    # sort stops before them. The rounds move user 0 at that key, which raises
+    # the price to 0.30000000000000004 + (2.4 - 0.30000000000000004) =
+    # 2.3999999999999995; they then see users 1 and 2 at a small distance
+    # above 0, not at 0, and move user 2 from item 3 next.
     M = np.array([[0.0, 0.0, 0.0, 2.4], [4.8, 2.4, 2.4, 4.8],
                   [0.0, 0.0, 0.0, 2.4], [0.0, -9.0, 0.1, 0.4]])
     caps = np.array([0, 2, 2, 0])
@@ -367,10 +368,9 @@ def test_sorted_drain_leaves_equal_keys_to_the_rounds_when_the_price_misses_them
     counts = np.bincount(assign, minlength=4)
     rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
     price = 0.4 - 0.1
-    price += 2.4 - price
-    assert price < 2.4
     assert _sort_excess(M, caps, assign, counts) == [price, 0.0, 0.0, price]
-    assert np.array_equal(assign, [1, 0, 3, 2])
+    assert np.array_equal(assign, [3, 0, 3, 2]) and np.array_equal(counts, [1, 0, 1, 2])
+    assert price + (2.4 - price) < 2.4
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 1, 2, 2])
     assert sol.objective == brute_force_lap(M, caps).objective
@@ -430,6 +430,15 @@ def _sorted_drain_matches_the_rounds(M, caps, tied, several):
     counts = np.bincount(assign, minlength=m)
     assert (np.sum(counts > caps) > 1) == several
     assert np.sum(counts > caps) + np.sum(counts < caps) == m
+    # no user the sort moves shares its cheapest key with another user of an
+    # over-full item: the rounds alone break ties
+    over = counts > caps
+    users = np.flatnonzero(over[assign])
+    keys = (M[users, assign[users]][:, None] - M[users][:, ~over]).min(axis=1)
+    moved = assign.copy()
+    _sort_excess(M, caps, moved, counts.copy())
+    for key in keys[moved[users] != assign[users]]:
+        assert np.count_nonzero(keys == key) == 1
     rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * m)
     matching = solve_lap(M, caps).matching
     assert matching.tobytes() == rounds.tobytes()

@@ -194,6 +194,27 @@ def test_evaluate_scores_the_learned_users(tmp_path):
     assert report != asdict(evaluate(dataset, items, params))
 
 
+def test_train_on_the_bundle_users_removes_stale_learned_users(tmp_path):
+    # a joint run and then a plain run into one directory: evaluate must
+    # score the plain run's items with the bundle's users, not the joint ones
+    config = write_config(tmp_path)
+    joint = write_config(tmp_path, {"joint_users": True, "epochs": 4}, name="joint.json")
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    run_dir = tmp_path / "run"
+    for cfg in (joint, config):
+        assert main(["train", "--bundle", str(bundle), "--config", str(cfg),
+                     "--out", str(run_dir), "--quiet"]) == 0
+    assert not (run_dir / "users_learned.csv").exists()
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--config", str(config), "--out", str(tmp_path / "eval"), "--quiet"]) == 0
+    dataset = load_dataset(bundle)
+    items = read_matrix_csv(run_dir / "items_learned.csv", (3, 2))
+    params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
+    report = json.loads((tmp_path / "eval" / "eval.json").read_text())
+    assert report == asdict(evaluate(dataset, items, params))
+
+
 def test_pipeline_without_true_items(tmp_path):
     # real observations carry no generating items: distances are NaN in the
     # history and null in eval.json, and the plot still renders
