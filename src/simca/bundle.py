@@ -95,8 +95,11 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
     write_json(out / "meta.json", meta)
     write_matrix_csv(out / "users.csv", dataset.users)
     write_matrix_csv(out / "distances.csv", dataset.distances)
+    # an observed dataset has no truth; load_dataset would read one an earlier save left
     if dataset.items_truth is not None:
         write_matrix_csv(out / "items_truth.csv", dataset.items_truth)
+    else:
+        (out / "items_truth.csv").unlink(missing_ok=True)
     write_matrix_csv(out / "matching.csv",
                      np.column_stack([np.arange(dataset.n_users), dataset.matching]))
     return out

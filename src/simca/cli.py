@@ -13,7 +13,9 @@ point, repeat), which makes them reproducible and safe to execute in parallel.
 A cell's history is never written, so a cell overrides ``eval_every`` as it
 overrides ``seed``: it scores only its first and last epoch.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/IO error, 3 partial
+A config error is the ``ValueError`` its check raises, whose message names
+the key; ``main`` prints it as it stands. Exit codes: 0 success, 1 validation
+error (a ``ValueError``, or a missing file), 2 runtime/IO error, 3 partial
 sweep failure.
 """
 from __future__ import annotations
@@ -47,10 +49,6 @@ from .plots import render_sweep_chart, render_training_chart
 from .training import TrainConfig, train
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; maps to exit code 1."""
-
-
 # the swept keys; each one's grid is the config key f"{param}_values"
 _SWEEP_PARAMS = ("epsilon", "gauss_rho", "swap_rho")
 # the keys that are not dataclass fields, always filled; a key's type is its default's
@@ -72,16 +70,9 @@ def validate_config(raw: dict) -> dict:
     cfg = dict(_DEFAULTS)
     for key, value in raw.items():
         if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {reprlib.repr(key)}")
-        try:
-            cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError(f"unknown config key {reprlib.repr(key)}")
+        cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
     return cfg
-
-
-def load_config(path) -> dict:
-    return validate_config(read_json(path))
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -94,11 +85,7 @@ def derive_seed(master: int, *parts) -> int:
 def config_from(cls, cfg: dict, **overrides):
     """Build the config dataclass ``cls`` from the keys of ``cfg`` naming its fields."""
     kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg}
-    kwargs.update(overrides)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return cls(**{**kwargs, **overrides})
 
 
 def _info(quiet: bool, message: str):
@@ -191,12 +178,12 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
 def _sweep_points(cfg: dict) -> list[tuple[str, float]]:
     points = [(param, value) for param in _SWEEP_PARAMS for value in cfg[f"{param}_values"]]
     if not points:
-        raise ConfigError(
+        raise ValueError(
             "sweep needs a non-empty grid: set epsilon_values, "
             "gauss_rho_values or swap_rho_values"
         )
     if cfg["repeats"] < 1:
-        raise ConfigError("repeats must be at least 1")
+        raise ValueError("repeats must be at least 1")
     return points
 
 
@@ -229,7 +216,7 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
 def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
     if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     points = _sweep_points(cfg)
     # the master seed only feeds derive_seed, so any seed stands in for it here
     _train_config(cfg, seed=0)
@@ -264,7 +251,7 @@ def run_plot(results_dir, out_dir, quiet: bool = False) -> list[Path]:
     ]
     present = [chart for chart in charts if chart[0].exists()]
     if not present:
-        raise ConfigError(f"nothing to plot: no history.csv or sweep.csv in {results}")
+        raise ValueError(f"nothing to plot: no history.csv or sweep.csv in {results}")
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for path, load, render, svg_name in present:
@@ -318,7 +305,7 @@ def main(argv=None) -> int:
         if args.command == "plot":
             run_plot(args.results, args.out, quiet=args.quiet)
             return 0
-        cfg = dict(_DEFAULTS) if getattr(args, "config", None) is None else load_config(args.config)
+        cfg = validate_config({} if args.config is None else read_json(args.config))
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.command == "generate":
@@ -334,7 +321,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 3
         return 0
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -111,15 +111,15 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
 
     Swapping preserves per-item counts exactly. Each swap marks both users as
     modified, so the modified fraction lands on the even count nearest
-    rho * n. Partners are drawn among the not-yet-modified users; if none with
-    a different item remains (all users on one item, say), the procedure stops
-    early with a warning.
+    rho * n, at most n. Partners are drawn among the not-yet-modified users;
+    if none with a different item remains (all users on one item, say), the
+    procedure stops early with a warning.
     """
     rho = check_unit_interval(rho, "rho")
     assign = np.asarray(assign, dtype=np.int64).copy()
     n = len(assign)
     rng = np.random.default_rng(seed)
-    target = int(round(rho * n / 2.0)) * 2
+    target = 2 * min(int(round(rho * n / 2.0)), n // 2)
     modified = np.zeros(n, dtype=bool)
     while int(modified.sum()) < target:
         unmodified = np.flatnonzero(~modified)

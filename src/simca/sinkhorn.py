@@ -108,7 +108,6 @@ def solve_ot(
     inst: OtInstance,
     iterations: int | None = None,
     tol: float | None = None,
-    max_iterations: int = 10_000,
     log_b_init: np.ndarray | None = None,
 ) -> SinkhornResult:
     """Solve the transport problem ``inst``; the two stopping modes use two
@@ -119,22 +118,22 @@ def solve_ot(
       bit-identical to the plain loop (see ``_LogKernel``).
     - ``tol`` (analysis mode): damped Newton steps on the semi-dual in
       ``log_b`` (see ``_newton``) until the exact row and column errors of
-      the returned coupling are at most ``tol``; ``max_iterations`` caps the
-      steps, and ``iterations`` in the result counts them. A run that hits
-      the cap, or stalls because no step lowers the objective or the error,
-      returns with ``converged=False`` rather than raising.
+      the returned coupling are at most ``tol``; ``MAX_NEWTON_STEPS`` caps
+      the steps, and ``iterations`` in the result counts them. A run that
+      hits the cap, or stalls because no step lowers the objective or the
+      error, returns with ``converged=False`` rather than raising.
 
-    Either count must be at least 1. ``log_b_init`` is the starting column
+    ``iterations`` must be at least 1. ``log_b_init`` is the starting column
     potential (zeros by default).
     """
     if (iterations is None) == (tol is None):
         raise ValueError("specify exactly one of iterations or tol")
-    if (iterations if tol is None else max_iterations) < 1:
-        raise ValueError("iterations and max_iterations must be at least 1")
+    if tol is None and iterations < 1:
+        raise ValueError("iterations must be at least 1")
     log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
     if tol is None:
         return _sinkhorn(inst, iterations, log_b)
-    return _newton(inst, tol, max_iterations, log_b)
+    return _newton(inst, tol, log_b)
 
 
 class _LogKernel:
@@ -253,6 +252,8 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
 # rounding in the objective's value, relative to the sum of its terms' magnitudes
 _VALUE_ROUNDING = 1e-14
+# the Newton steps a tolerance solve takes at most before it returns unconverged
+MAX_NEWTON_STEPS = 10_000
 
 
 class _Iterate(NamedTuple):
@@ -265,7 +266,7 @@ class _Iterate(NamedTuple):
     rounding: float
 
 
-def _newton(inst: OtInstance, tol: float, max_steps: int, log_b) -> SinkhornResult:
+def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     """Damped Newton descent on the negated semi-dual
 
         G(b) = sum_i r_i * LSE_j(M_ij / epsilon + b_j) - c . b,
@@ -302,7 +303,7 @@ def _newton(inst: OtInstance, tol: float, max_steps: int, log_b) -> SinkhornResu
 
     here = iterate(log_b)
     steps = 0
-    while here.error > tol and steps < max_steps:
+    while here.error > tol and steps < MAX_NEWTON_STEPS:
         grad = here.col_sums - c
         pi = here.coupling
         hess = np.diag(here.col_sums) - pi.T @ (pi / r[:, None]) + 1.0 / m

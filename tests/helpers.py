@@ -108,7 +108,7 @@ def reference_solve_ot(
 def converged_coupling(affinity, caps, epsilon, tol=1e-12):
     """Tolerance-mode transport solve, returning the full (slack-extended) result."""
     inst = extend_with_slack(affinity, caps, epsilon)
-    return solve_ot(inst, tol=tol, max_iterations=200_000)
+    return solve_ot(inst, tol=tol)
 
 
 def slack_extended_loss(users, items, distances, caps, matching, alpha, epsilon, tol=1e-12):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -65,6 +66,18 @@ def test_dataset_bundle_roundtrip(tmp_path):
     lines = (bundle / "matching.csv").read_text().splitlines()
     (bundle / "matching.csv").write_text("\n".join(reversed(lines)) + "\n")
     assert np.array_equal(load_dataset(bundle).matching, ds.matching)
+
+
+def test_saving_a_dataset_without_truth_removes_a_stale_truth_file(tmp_path):
+    # an observed dataset saved over a generated bundle: the truth file the
+    # first save wrote must not be read back as this dataset's truth
+    cfg = GenConfig(n=60, m=3, d=2, k=2, seed=8)
+    ds = generate_dataset(cfg)
+    bundle = save_dataset(ds, tmp_path / "bundle", gen_config=cfg)
+    assert (bundle / "items_truth.csv").exists()
+    save_dataset(dataclasses.replace(ds, items_truth=None), bundle)
+    assert not (bundle / "items_truth.csv").exists()
+    assert load_dataset(bundle).items_truth is None
 
 
 def test_bundle_bytes_are_deterministic(tmp_path):

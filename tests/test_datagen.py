@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_swap_noise_full_perturbation_two_items():
     noised = apply_swap_noise(sigma, 1.0, seed=2)
     assert np.all(noised != sigma)
     assert np.array_equal(np.bincount(noised), np.bincount(sigma))
+
+
+def test_swap_noise_at_rho_one_never_aims_past_n():
+    # two items, one user apart: a partner remains for every swap, and all
+    # but one user can be swapped; an odd n must not target n + 1 and warn
+    for n in (3, 7, 299):
+        sigma = np.arange(n) % 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noised = apply_swap_noise(sigma, 1.0, seed=4)
+        assert int(np.sum(noised != sigma)) == n - 1
+        assert np.array_equal(np.bincount(noised), np.bincount(sigma))
 
 
 def test_swap_noise_preserves_counts_and_hits_requested_fraction():

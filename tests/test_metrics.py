@@ -1,13 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 
-import simca.metrics
+import simca.sinkhorn
 from simca.datagen import GenConfig, generate_dataset
 from simca.metrics import evaluate, f1_scores, mean_embedding_distance
 from simca.model import AffinityParams, Dataset
-from simca.sinkhorn import solve_ot
 
 
 def test_perfect_prediction():
@@ -69,7 +66,7 @@ def test_evaluate_reports_its_solve(monkeypatch, cap, converged):
     # scored; under the default cap it converges in a few Newton steps and
     # rounds to the generating matching
     if cap is not None:
-        monkeypatch.setattr(simca.metrics, "solve_ot", functools.partial(solve_ot, max_iterations=cap))
+        monkeypatch.setattr(simca.sinkhorn, "MAX_NEWTON_STEPS", cap)
     ds = generate_dataset(GenConfig(n=30, m=3, k=2, seed=1, extra_spots_per_item=1))
     report = evaluate(ds, ds.items_truth, AffinityParams(alpha=ds.alpha, epsilon=0.002))
     assert report.converged is converged
