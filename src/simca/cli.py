@@ -2,13 +2,13 @@
 
 Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
 ``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
-so a typo in a hyperparameter never passes silently. ``train``, ``evaluate`` and
-``sweep`` check their configuration before they read any file; a sweep's
-master seed is left unchecked, since it only feeds ``derive_seed``. Training
-and scoring use the bundle's alpha unless the config sets one, and a run is
-scored with the users it trained on. A sweep cell is a train run
-with one key set: the swept value replaces that key and every other noise
-level is zero. Sweep runs derive their seeds by hashing (master seed, grid
+so a typo in a hyperparameter never passes silently. ``validate_config`` checks
+every key's type and range before any command runs, except the seed: the run
+it seeds checks it, so a sweep's master seed, which only feeds ``derive_seed``,
+may be negative. Training and scoring use the bundle's alpha unless the config
+sets one, and a run is scored with the users it trained on. A sweep cell is a
+train run with one key set: the swept value replaces that key and every other
+noise level is zero. Sweep runs derive their seeds by hashing (master seed, grid
 point, repeat), which makes them reproducible and safe to execute in parallel.
 A cell's history is never written, so a cell overrides ``eval_every`` as it
 overrides ``seed``: it scores only its first and last epoch.
@@ -66,12 +66,18 @@ _SCHEMA: dict[str, type] = {
 
 
 def validate_config(raw: dict) -> dict:
-    """Check a raw config mapping against the flat schema."""
+    """Check a raw config mapping against the flat schema: each key's type, then
+    its range. The seed's range is left to the run it seeds."""
     cfg = dict(_DEFAULTS)
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {reprlib.repr(key)}")
         cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
+    config_from(TrainConfig, cfg, seed=0)
+    for key in ("gauss_rho", "swap_rho"):
+        check_unit_interval(cfg[key], key)
+    if cfg["repeats"] < 1:
+        raise ValueError("repeats must be at least 1")
     return cfg
 
 
@@ -103,8 +109,8 @@ def run_generate(cfg: dict, out_dir, quiet: bool = False) -> Path:
 
 
 def _train_config(cfg: dict, dataset: Dataset | None = None, **overrides) -> TrainConfig:
-    """The run's checked ``TrainConfig``. A run builds it before it reads any
-    file, and again once the bundle is read: alpha then defaults to the bundle's."""
+    """The run's checked ``TrainConfig``; once the bundle is read, alpha
+    defaults to the bundle's."""
     bundle = {} if dataset is None else {"alpha": dataset.alpha}
     return config_from(TrainConfig, {**bundle, **cfg}, **overrides)
 
@@ -128,8 +134,6 @@ def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrid
 
 def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     seed = _train_config(cfg).seed
-    for key in ("gauss_rho", "swap_rho"):
-        check_unit_interval(cfg[key], key)
     dataset = load_dataset(bundle_dir)
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         print(f"warning: config alpha {cfg['alpha']} differs from "
@@ -155,7 +159,6 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
 
 
 def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
-    _train_config(cfg)
     dataset = load_dataset(bundle_dir)
     learned = Path(learned_dir)
     items_hat = read_matrix_csv(learned / "items_learned.csv", (None, dataset.dim))
@@ -173,18 +176,6 @@ def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = Fals
     _info(quiet, f"evaluation: F1 micro {report.f1_micro:.4f}, "
                  f"macro {report.f1_macro:.4f}")
     return out
-
-
-def _sweep_points(cfg: dict) -> list[tuple[str, float]]:
-    points = [(param, value) for param in _SWEEP_PARAMS for value in cfg[f"{param}_values"]]
-    if not points:
-        raise ValueError(
-            "sweep needs a non-empty grid: set epsilon_values, "
-            "gauss_rho_values or swap_rho_values"
-        )
-    if cfg["repeats"] < 1:
-        raise ValueError("repeats must be at least 1")
-    return points
 
 
 def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
@@ -217,9 +208,12 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    points = _sweep_points(cfg)
-    # the master seed only feeds derive_seed, so any seed stands in for it here
-    _train_config(cfg, seed=0)
+    points = [(param, value) for param in _SWEEP_PARAMS for value in cfg[f"{param}_values"]]
+    if not points:
+        raise ValueError(
+            "sweep needs a non-empty grid: set epsilon_values, "
+            "gauss_rho_values or swap_rho_values"
+        )
     dataset = load_dataset(bundle_dir)
     master_seed = cfg.get("seed", TrainConfig.seed)
     tasks = [

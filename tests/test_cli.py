@@ -509,10 +509,12 @@ def test_train_rejects_malformed_bundle_seed_and_alpha(tmp_path, capsys, key, va
 
 @pytest.mark.parametrize("noise", [{"gauss_rho": -0.5}, {"swap_rho": -3.0}])
 def test_train_rejects_negative_noise(tmp_path, capsys, noise):
-    # only a zero level skips the noise function, so a negative one meets its range check
+    # validate_config checks each noise level's range, so a negative one fails
+    # even with a bundle on disk; the bundle comes from a noise-free config
     config = write_config(tmp_path, {"epochs": 2, **noise})
     bundle = tmp_path / "bundle"
-    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    assert main(["generate", "--config", str(write_config(tmp_path, name="clean.json")),
+                 "--out", str(bundle), "--quiet"]) == 0
     code = main(["train", "--bundle", str(bundle), "--config", str(config),
                  "--out", str(tmp_path / "run"), "--quiet"])
     assert code == 1
@@ -660,12 +662,18 @@ def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
     ("evaluate", {"sinkhorn_iters": 0}, "sinkhorn_iters must be at least 1"),
     ("train", {"swap_rho": 1.5}, "swap_rho must lie in [0, 1]"),
     ("train", {"gauss_rho": -0.5}, "gauss_rho must lie in [0, 1]"),
-], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho"])
+    ("sweep", {"swap_rho": 1.5, "epsilon_values": [0.1]}, "swap_rho must lie in [0, 1]"),
+    ("generate", {"learning_rate": -1}, "learning_rate must be positive"),
+    ("train", {"repeats": 0}, "repeats must be at least 1"),
+], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho",
+        "sweep-swap-rho", "generate-learning-rate", "train-repeats"])
 def test_config_is_checked_before_any_file_is_read(tmp_path, capsys, command, setting, message):
-    # the bundle and the learned directory do not exist: the config error comes first
+    # the bundle and the learned directory do not exist: the config error comes first,
+    # and every command checks every key, not only the keys it uses
     config = write_config(tmp_path, setting)
-    argv = [command, "--bundle", str(tmp_path / "absent"), "--config", str(config),
-            "--out", str(tmp_path / "out")]
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command != "generate":
+        argv += ["--bundle", str(tmp_path / "absent")]
     if command == "evaluate":
         argv += ["--learned", str(tmp_path / "absent-run")]
     assert main(argv) == 1

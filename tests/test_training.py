@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simca.metrics
 import simca.training
@@ -341,6 +343,43 @@ def test_loss_is_convex_along_segments():
         lam = float(rng.choice([0.25, 0.5, 0.75]))
         mid = loss(lam * va + (1 - lam) * vb)
         assert mid <= lam * loss(va) + (1 - lam) * loss(vb) + 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(0, 8), st.integers(0, 3),
+       st.floats(0.0, 0.9), st.floats(0.3, 2.0),
+       st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+def test_a_common_shift_of_the_items_leaves_the_loss_unchanged(seed, m, extra_users, slack,
+                                                               alpha, eps, shift):
+    # shifting every item by w adds (1 - alpha) * U_i . w to all of user i's
+    # affinities; the user's potential absorbs it, so J stays and the item
+    # gradient sums to zero over the items. At least m users give every item
+    # a capacity, so the plan is soft and J and the gradient are not zero.
+    rng = np.random.default_rng(seed)
+    users, distances, caps, sigma = random_instance(rng, m + extra_users, m, 2, slack=slack)
+    items = rng.normal(size=(m, 2))
+    shifted = items + np.array(shift)
+    loss = slack_extended_loss(users, items, distances, caps, sigma, alpha, eps)
+    moved = slack_extended_loss(users, shifted, distances, caps, sigma, alpha, eps)
+    assert abs(moved - loss) <= 1e-10 * abs(loss)
+    pi = converged_coupling(compute_affinity(users, items, distances, alpha), caps, eps)
+    grad = loss_gradient_items(users, sigma, pi.user_coupling, alpha, eps)
+    assert np.linalg.norm(grad.sum(axis=0)) <= 1e-10 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("m", [3, 10])
+@pytest.mark.parametrize("seed", range(7, 12))
+def test_a_common_shift_of_the_items_leaves_the_evaluation_unchanged(seed, m):
+    # fixed seeds, not hypothesis: the shift moves the plan by rounding error,
+    # which could flip the LAP on a near-tied plan
+    ds = generate_dataset(GenConfig(n=300, m=m, seed=seed))
+    params = AffinityParams(alpha=ds.alpha, epsilon=0.1)
+    base = evaluate(ds, ds.items_truth, params)
+    for shift in ((0.5, -0.3), (3.0, 2.0)):
+        moved = evaluate(ds, ds.items_truth + np.array(shift), params)
+        assert (moved.f1_micro, moved.f1_macro, moved.per_item_f1) == \
+            (base.f1_micro, base.f1_macro, base.per_item_f1)
+        assert abs(moved.cross_entropy - base.cross_entropy) <= 1e-12 * abs(base.cross_entropy)
 
 
 def test_train_and_evaluate_match_the_reference_solver(monkeypatch):
