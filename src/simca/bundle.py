@@ -3,7 +3,9 @@
 A dataset bundle is a directory holding ``meta.json`` (sizes, alpha, seed,
 capacities, and a generated bundle's ``GenConfig`` fields) and headerless CSV
 matrices: ``users.csv``, ``distances.csv``, optional ``items_truth.csv`` and
-``matching.csv`` with one ``user,item`` row per user, in any order. Result
+``matching.csv`` with one ``user,item`` row per user, in any order. A reader
+finds an optional file by its presence, so a writer removes it when the data is
+absent: ``write_matrix_csv`` of None does that. Result
 tables (``history.csv``, ``sweep.csv``) hold one row per record under a header
 of the record's field names. Reals are written with 17 significant digits so
 a reload reproduces the float64 values bit for bit. Every JSON file
@@ -31,8 +33,13 @@ from .training import EpochRecord
 _FLOAT_FMT = "%.17g"
 
 
-def write_matrix_csv(path: Path, values: np.ndarray) -> None:
-    np.savetxt(path, values, fmt=_FLOAT_FMT, delimiter=",")
+def write_matrix_csv(path: Path, values: np.ndarray | None) -> None:
+    """Write ``values`` as a headerless CSV matrix; None means no data and
+    removes ``path``, so a reader never finds a file an earlier write left."""
+    if values is None:
+        Path(path).unlink(missing_ok=True)
+    else:
+        np.savetxt(path, values, fmt=_FLOAT_FMT, delimiter=",")
 
 
 def read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
@@ -95,11 +102,7 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
     write_json(out / "meta.json", meta)
     write_matrix_csv(out / "users.csv", dataset.users)
     write_matrix_csv(out / "distances.csv", dataset.distances)
-    # an observed dataset has no truth; load_dataset would read one an earlier save left
-    if dataset.items_truth is not None:
-        write_matrix_csv(out / "items_truth.csv", dataset.items_truth)
-    else:
-        (out / "items_truth.csv").unlink(missing_ok=True)
+    write_matrix_csv(out / "items_truth.csv", dataset.items_truth)
     write_matrix_csv(out / "matching.csv",
                      np.column_stack([np.arange(dataset.n_users), dataset.matching]))
     return out

@@ -3,15 +3,17 @@
 Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
 ``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
 so a typo in a hyperparameter never passes silently. ``validate_config`` checks
-every key's type and range before any command runs, except the seed: the run
-it seeds checks it, so a sweep's master seed, which only feeds ``derive_seed``,
-may be negative. Training and scoring use the bundle's alpha unless the config
-sets one, and a run is scored with the users it trained on. A sweep cell is a
-train run with one key set: the swept value replaces that key and every other
-noise level is zero. Sweep runs derive their seeds by hashing (master seed, grid
-point, repeat), which makes them reproducible and safe to execute in parallel.
-A cell's history is never written, so a cell overrides ``eval_every`` as it
-overrides ``seed``: it scores only its first and last epoch.
+every key's type and range before any command runs, the generator keys too, so
+``train``, ``evaluate`` and ``sweep`` reject a value ``generate`` would. The
+seed is left out: the run it seeds checks it, so a sweep's master seed, which
+only feeds ``derive_seed``, may be negative. Training and scoring use the
+bundle's alpha unless the config sets one, and a run is scored with the users
+it trained on. A sweep cell is a train run with one key set: the swept value
+replaces that key and every other noise level is zero. Sweep runs derive their
+seeds by hashing (master seed, grid point, repeat), which makes them
+reproducible and safe to execute in parallel. A cell's history is never
+written, so a cell overrides ``eval_every`` as it overrides ``seed``: it scores
+only its first and last epoch.
 
 A config error is the ``ValueError`` its check raises, whose message names
 the key; ``main`` prints it as it stands. Exit codes: 0 success, 1 validation
@@ -73,7 +75,8 @@ def validate_config(raw: dict) -> dict:
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {reprlib.repr(key)}")
         cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
-    config_from(TrainConfig, cfg, seed=0)
+    for cls in (GenConfig, TrainConfig):
+        config_from(cls, cfg, seed=0)
     for key in ("gauss_rho", "swap_rho"):
         check_unit_interval(cfg[key], key)
     if cfg["repeats"] < 1:
@@ -118,7 +121,8 @@ def _train_config(cfg: dict, dataset: Dataset | None = None, **overrides) -> Tra
 def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrides):
     """Train one run on the bundle's data, with the users gauss-noised and the
     matching swap-noised at the levels of ``cfg``. Returns the run's checked
-    ``TrainConfig``, its result, and the users it trained on, learned or noised."""
+    ``TrainConfig``, its result, and the users it trained on if they were learned
+    or gauss-noised, else None for the bundle's users."""
     train_cfg = _train_config(cfg, dataset, **overrides)
     noisy = {}
     # a zero level leaves the data as is; any other level goes through the noise range check
@@ -126,9 +130,8 @@ def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrid
         noisy["users"] = apply_gaussian_noise(dataset.users, cfg["gauss_rho"], gauss_seed)
     if cfg["swap_rho"] != 0:
         noisy["matching"] = apply_swap_noise(dataset.matching, cfg["swap_rho"], swap_seed)
-    training_data = dataclasses.replace(dataset, **noisy) if noisy else dataset
-    result = train(training_data, train_cfg)
-    users = training_data.users if result.users is None else result.users
+    result = train(dataclasses.replace(dataset, **noisy) if noisy else dataset, train_cfg)
+    users = noisy.get("users") if result.users is None else result.users
     return train_cfg, result, users
 
 
@@ -143,12 +146,8 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     save_history(result.history, out / "history.csv")
     write_matrix_csv(out / "items_learned.csv", result.items)
-    # learned or noised users are not the bundle's; evaluate scores with this
-    # file, so a run on the bundle's users removes one an earlier run left
-    if users is not dataset.users:
-        write_matrix_csv(out / "users_learned.csv", users)
-    else:
-        (out / "users_learned.csv").unlink(missing_ok=True)
+    # evaluate scores with this file if present, else with the bundle's users
+    write_matrix_csv(out / "users_learned.csv", users)
     if result.history:
         last = result.history[-1]
         _info(quiet, f"trained {len(result.history)} epochs: "
@@ -221,8 +220,9 @@ def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
         for gi, (param, value) in enumerate(points)
         for rep in range(cfg["repeats"])
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_sweep_point, *zip(*tasks)))
     else:
         rows = [run_sweep_point(*task) for task in tasks]

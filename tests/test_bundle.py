@@ -31,6 +31,15 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
     assert np.array_equal(values, back)
 
 
+def test_writing_no_matrix_removes_the_file(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.ones((2, 2)))
+    write_matrix_csv(path, None)
+    assert not path.exists()
+    write_matrix_csv(path, None)
+    assert not path.exists()
+
+
 def test_matrix_csv_error_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,oops\n")

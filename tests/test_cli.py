@@ -211,6 +211,26 @@ def test_train_on_the_bundle_users_removes_stale_learned_users(tmp_path):
     assert report == asdict(evaluate(dataset, items, params))
 
 
+def test_swap_noised_run_is_scored_with_the_bundle_users(tmp_path):
+    # only the matching was noised, so the run trained on the bundle's users:
+    # it leaves no users file, and removes the one a joint run left
+    config = write_config(tmp_path, {"swap_rho": 0.2, "epochs": 4})
+    joint = write_config(tmp_path, {"joint_users": True, "epochs": 4}, name="joint.json")
+    bundle, run_dir, eval_dir = tmp_path / "bundle", tmp_path / "run", tmp_path / "eval"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    for cfg in (joint, config):
+        assert main(["train", "--bundle", str(bundle), "--config", str(cfg),
+                     "--out", str(run_dir), "--quiet"]) == 0
+    assert not (run_dir / "users_learned.csv").exists()
+    assert main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
+                 "--config", str(config), "--out", str(eval_dir), "--quiet"]) == 0
+    dataset = load_dataset(bundle)
+    items = read_matrix_csv(run_dir / "items_learned.csv", (3, 2))
+    params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
+    report = json.loads((eval_dir / "eval.json").read_text())
+    assert report == asdict(evaluate(dataset, items, params))
+
+
 def test_pipeline_without_true_items(tmp_path):
     # real observations carry no generating items: distances are NaN in the
     # history and null in eval.json, and the plot still renders
@@ -420,6 +440,35 @@ def test_sweep_parallel_matches_serial(tmp_path):
     serial, _ = run_sweep(bundle, cfg, tmp_path / "serial", jobs=1, quiet=True)
     parallel, _ = run_sweep(bundle, cfg, tmp_path / "parallel", jobs=2, quiet=True)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("grid, jobs, pools", [([0.1, 0.2], 64, [2]), ([0.1], 4, [])],
+                         ids=["64-jobs-2-cells", "4-jobs-1-cell"])
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, grid, jobs, pools):
+    # a fake pool records its size and runs the cells in-process: no process starts
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(simca.cli, "ProcessPoolExecutor", FakePool)
+    config = write_config(tmp_path, {"epsilon_values": grid, "epochs": 1})
+    bundle = tmp_path / "bundle"
+    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
+    rows, failures = run_sweep(bundle, validate_config(read_json(config)), tmp_path / "s",
+                               jobs=jobs, quiet=True)
+    assert (len(rows), failures) == (len(grid), 0)
+    assert opened == pools
 
 
 def test_sweep_cells_score_only_their_first_and_last_epoch(tmp_path, monkeypatch):
@@ -665,8 +714,10 @@ def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
     ("sweep", {"swap_rho": 1.5, "epsilon_values": [0.1]}, "swap_rho must lie in [0, 1]"),
     ("generate", {"learning_rate": -1}, "learning_rate must be positive"),
     ("train", {"repeats": 0}, "repeats must be at least 1"),
+    ("train", {"d": 0}, "need d >= 1"),
+    ("sweep", {"m": 0, "epsilon_values": [0.1]}, "need m >= k >= 1"),
 ], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho",
-        "sweep-swap-rho", "generate-learning-rate", "train-repeats"])
+        "sweep-swap-rho", "generate-learning-rate", "train-repeats", "train-d", "sweep-m"])
 def test_config_is_checked_before_any_file_is_read(tmp_path, capsys, command, setting, message):
     # the bundle and the learned directory do not exist: the config error comes first,
     # and every command checks every key, not only the keys it uses
