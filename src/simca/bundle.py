@@ -1,12 +1,14 @@
 """On-disk formats: dataset bundles, training history, sweep results.
 
-A dataset bundle is a directory holding ``meta.json`` (sizes, alpha, seed,
-capacities, and a generated bundle's ``GenConfig`` fields) and headerless CSV
+A dataset bundle is a directory holding ``meta.json`` and headerless CSV
 matrices: ``users.csv``, ``distances.csv``, optional ``items_truth.csv`` and
-``matching.csv`` with one ``user,item`` row per user, in any order. A reader
-finds an optional file by its presence, so a writer removes it when the data is
-absent: ``write_matrix_csv`` of None does that. Result
-tables (``history.csv``, ``sweep.csv``) hold one row per record under a header
+``matching.csv`` with one ``user,item`` row per user, in any order.
+``meta.json`` holds the sizes, alpha, capacities and whether item truth is
+present; a generated bundle adds the other ``GenConfig`` fields, seed
+included, a record of how it was drawn that ``load_dataset`` does not read.
+A reader finds an optional file by its presence, so a writer removes it when
+the data is absent: ``write_matrix_csv`` of None does that. Result tables
+(``history.csv``, ``sweep.csv``) hold one row per record under a header
 of the record's field names. Reals are written with 17 significant digits so
 a reload reproduces the float64 values bit for bit. Every JSON file
 (``meta.json``, ``eval.json``, a CLI config) holds one object, written by
@@ -95,7 +97,6 @@ def save_dataset(dataset: Dataset, out_dir, gen_config: GenConfig | None = None)
         "m": dataset.n_items,
         "d": dataset.dim,
         "alpha": dataset.alpha,
-        "seed": dataset.seed,
         "capacities": [int(c) for c in dataset.capacities],
         "has_items_truth": dataset.items_truth is not None,
     }
@@ -113,7 +114,7 @@ def load_dataset(bundle_dir) -> Dataset:
     bundle = Path(bundle_dir)
     meta_path = bundle / "meta.json"
     meta = read_json(meta_path)
-    for key in ("n", "m", "d", "alpha", "seed", "capacities"):
+    for key in ("n", "m", "d", "alpha", "capacities"):
         if key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
     users = read_matrix_csv(bundle / "users.csv", (meta["n"], meta["d"]))
@@ -122,7 +123,7 @@ def load_dataset(bundle_dir) -> Dataset:
     m = distances.shape[1]
     truth_path = bundle / "items_truth.csv"
     items_truth = read_matrix_csv(truth_path, (m, d)) if truth_path.exists() else None
-    # item indices, capacities, alpha and seed go to Dataset uncast, so its checks see them as written
+    # item indices, capacities and alpha go to Dataset uncast, so its checks see them as written
     match_path = bundle / "matching.csv"
     pairs = read_matrix_csv(match_path, (None, 2))
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
@@ -135,7 +136,6 @@ def load_dataset(bundle_dir) -> Dataset:
         capacities=meta["capacities"],
         matching=pairs[:, 1],
         alpha=meta["alpha"],
-        seed=meta["seed"],
     )
 
 

@@ -102,7 +102,6 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
         capacities=caps,
         matching=matching,
         alpha=cfg.alpha,
-        seed=cfg.seed,
     )
 
 

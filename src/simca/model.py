@@ -40,14 +40,16 @@ def as_matrix(values, name: str, shape=None) -> np.ndarray:
 
 
 def _integer_vector(values, name: str, length: int) -> np.ndarray:
-    """Int64 copy of a numeric vector of ``length`` integers; integer-valued floats in the
-    int64 range pass."""
+    """Int64 copy of a numeric vector of ``length`` integers in the int64 range;
+    integer-valued floats pass, and an unsigned value from 2**63 up fails
+    rather than wrap to a negative."""
     arr = np.asarray(values)
     if arr.shape != (length,):
         raise ValueError(f"{name} shape {arr.shape} does not match ({length},)")
     kind = arr.dtype.kind
+    whole_ints = kind == "i" or kind == "u" and np.all(arr < 2**63)
     whole_floats = kind == "f" and np.all((abs(arr) < 2.0**63) & (arr == np.round(arr)))
-    if kind not in "iu" and not whole_floats:
+    if not (whole_ints or whole_floats):
         raise ValueError(f"{name} must be integers")
     return arr.astype(np.int64)
 
@@ -157,7 +159,6 @@ class Dataset:
     capacities: np.ndarray
     matching: np.ndarray
     alpha: float
-    seed: int
     items_truth: np.ndarray | None = None
 
     def __post_init__(self):
@@ -172,9 +173,7 @@ class Dataset:
             raise ValueError("every capacity must be at least 1")
         matching = check_matching(self.matching, caps, n)
         alpha = check_unit_interval(self.alpha, "alpha")
-        seed = int(_integer_vector([self.seed], "seed", 1)[0])
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "capacities", caps)

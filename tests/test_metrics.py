@@ -96,7 +96,7 @@ def test_alpha_one_ignores_embeddings():
 
     matching = solve_lap(-distances, np.array([10, 10])).matching
     ds = Dataset(users=users, distances=distances, capacities=np.array([10, 10]),
-                 matching=matching, alpha=1.0, seed=0)
+                 matching=matching, alpha=1.0)
     params = AffinityParams(alpha=1.0, epsilon=0.1)
     r1 = evaluate(ds, rng.normal(size=(2, 2)), params)
     r2 = evaluate(ds, rng.normal(size=(2, 2)), params)

@@ -108,7 +108,7 @@ def test_affinity_params_validation():
 def _dataset_with(alpha=0.3):
     users, distances = _small_dataset()
     return Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                   matching=np.array([0, 1, 0]), alpha=alpha, seed=0)
+                   matching=np.array([0, 1, 0]), alpha=alpha)
 
 
 # every class that takes alpha, and the two that take epsilon, apply one rule each
@@ -157,22 +157,21 @@ def test_dataset_validation():
         capacities=np.array([2, 1]),
         matching=np.array([0, 1, 0]),
         alpha=0.3,
-        seed=0,
     )
     assert ds.n_users == 3 and ds.n_items == 2 and ds.dim == 2
 
     with pytest.raises(ValueError):
         Dataset(users=users, distances=distances, capacities=np.array([1, 1]),
-                matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+                matching=np.array([0, 1, 0]), alpha=0.3)
     with pytest.raises(ValueError):
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                matching=np.array([0, 0, 0]), alpha=0.3, seed=0)
+                matching=np.array([0, 0, 0]), alpha=0.3)
     with pytest.raises(ValueError):
         Dataset(users=users[:2], distances=distances, capacities=np.array([2, 1]),
-                matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+                matching=np.array([0, 1, 0]), alpha=0.3)
     with pytest.raises(ValueError):
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                matching=np.array([0, 1, 0]), alpha=0.3, seed=0,
+                matching=np.array([0, 1, 0]), alpha=0.3,
                 items_truth=np.zeros((3, 2)))
 
 
@@ -191,7 +190,7 @@ def test_dataset_rejects_negative_distances_and_unknown_items(distance, matching
     distances[0, 0] = distance
     with pytest.raises(ValueError, match=message):
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                matching=np.array(matching), alpha=0.3, seed=0)
+                matching=np.array(matching), alpha=0.3)
 
 
 def test_dataset_rejects_non_finite_inputs():
@@ -202,47 +201,42 @@ def test_dataset_rejects_non_finite_inputs():
         arrays[name][0, 0] = np.nan if name == "users" else np.inf
         with pytest.raises(ValueError, match=f"{name} contains non-finite"):
             Dataset(**arrays, capacities=np.array([2, 1]),
-                    matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+                    matching=np.array([0, 1, 0]), alpha=0.3)
 
 
 @pytest.mark.parametrize("caps, message", [
     ([1.5, 1.5], "capacities must be integers"),
     ([1e20, 1.0], "capacities must be integers"),
+    # numpy infers uint64 for these; cast to int64 they would wrap to -2**63
+    (np.array([2**63, 1], dtype=np.uint64), "capacities must be integers"),
+    ([2**63, 2**63], "capacities must be integers"),
     (["a", "b"], "capacities must be integers"),
     ([3], "capacities shape"),
     ([[2, 1]], "capacities shape"),
     ([4, -1], "nonnegative"),
     ([1, 1], "infeasible"),
-], ids=["fractional", "beyond-int64", "non-numeric", "wrong-length", "2-d", "negative",
-        "infeasible"])
+], ids=["fractional", "beyond-int64", "uint64-beyond-int64", "int-beyond-int64",
+        "non-numeric", "wrong-length", "2-d", "negative", "infeasible"])
 def test_dataset_and_lap_share_one_capacity_check(caps, message):
     users, distances = _small_dataset()
     with pytest.raises(ValueError, match=message):
         Dataset(users=users, distances=distances, capacities=caps,
-                matching=np.array([0, 1, 0]), alpha=0.3, seed=0)
+                matching=np.array([0, 1, 0]), alpha=0.3)
     with pytest.raises(ValueError, match=message):
         solve_lap(np.zeros((3, 2)), caps)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("seed", 7.9, "seed must be integers"),
-    ("seed", "7", "seed must be integers"),
-    ("seed", True, "seed must be integers"),
-    ("alpha", "0.3", "alpha must be a number"),
-    ("alpha", True, "alpha must be a number"),
-    ("alpha", None, "alpha must be a number"),
-], ids=["fractional-seed", "string-seed", "bool-seed", "string-alpha", "bool-alpha",
-        "missing-alpha"])
-def test_dataset_rejects_malformed_seed_and_alpha(field, value, message):
+@pytest.mark.parametrize("value", ["0.3", True, None],
+                         ids=["string-alpha", "bool-alpha", "missing-alpha"])
+def test_dataset_rejects_malformed_seed_and_alpha(value):
+    # Dataset has no seed, so only alpha is checked; the name keeps the cases' ids
     users, distances = _small_dataset()
-    fields = {"alpha": 0.3, "seed": 0, field: value}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="alpha must be a number"):
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                matching=np.array([0, 1, 0]), **fields)
-    # integer-valued numbers pass, as Python int and float
+                matching=np.array([0, 1, 0]), alpha=value)
+    # an integer alpha passes, as a float
     ds = Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                 matching=np.array([0, 1, 0]), alpha=1, seed=7.0)
-    assert type(ds.seed) is int and ds.seed == 7
+                 matching=np.array([0, 1, 0]), alpha=1)
     assert type(ds.alpha) is float and ds.alpha == 1.0
 
 
@@ -251,16 +245,16 @@ def test_zero_capacity_passes_the_lap_but_not_a_dataset():
     users, distances = _small_dataset()
     with pytest.raises(ValueError, match="at least 1"):
         Dataset(users=users, distances=distances, capacities=[3, 0],
-                matching=np.array([0, 0, 0]), alpha=0.3, seed=0)
+                matching=np.array([0, 0, 0]), alpha=0.3)
 
 
 def test_dataset_rejects_fractional_matching():
     users, distances = _small_dataset()
     with pytest.raises(ValueError, match="matching must be integers"):
         Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
-                matching=[0.9, 1.5, 0.2], alpha=0.3, seed=0)
+                matching=[0.9, 1.5, 0.2], alpha=0.3)
     # integer-valued floats are integers
     ds = Dataset(users=users, distances=distances, capacities=[2.0, 1.0],
-                 matching=[0.0, 1.0, 0.0], alpha=0.3, seed=0)
+                 matching=[0.0, 1.0, 0.0], alpha=0.3)
     assert np.array_equal(ds.matching, [0, 1, 0]) and ds.matching.dtype == np.int64
     assert np.array_equal(ds.capacities, [2, 1]) and ds.capacities.dtype == np.int64
