@@ -2,18 +2,20 @@
 
 Configs are flat JSON. Their keys are the fields of ``GenConfig`` and
 ``TrainConfig`` plus the noise and sweep keys below; unknown keys are rejected
-so a typo in a hyperparameter never passes silently. ``validate_config`` checks
-every key's type and range before any command runs, the generator keys too, so
-``train``, ``evaluate`` and ``sweep`` reject a value ``generate`` would. The
-seed is left out: the run it seeds checks it, so a sweep's master seed, which
-only feeds ``derive_seed``, may be negative. Training and scoring use the
-bundle's alpha unless the config sets one, and a run is scored with the users
-it trained on. A sweep cell is a train run with one key set: the swept value
-replaces that key and every other noise level is zero. Sweep runs derive their
-seeds by hashing (master seed, grid point, repeat), which makes them
-reproducible and safe to execute in parallel. A cell's history is never
-written, so a cell overrides ``eval_every`` as it overrides ``seed``: it scores
-only its first and last epoch.
+so a typo in a hyperparameter never passes silently. Each key has one kind,
+its field's type hint or its entry in ``_CLI_KEYS``, which is its whole rule.
+``validate_config`` checks every key's type and range by its kind before any
+command runs, the generator keys too, so ``train``, ``evaluate`` and ``sweep``
+reject a value ``generate`` would. The seed's range is left out: the run it
+seeds checks it, so a sweep's master seed, which only feeds ``derive_seed``,
+may be negative. Training and scoring use the bundle's alpha unless the config
+sets one, and a run is scored with the users it trained on. A sweep cell is a
+train run with one key set: the swept value replaces that key and every other
+noise level is zero. Sweep runs derive their seeds by hashing (master seed,
+grid point, repeat), which makes them reproducible and safe to execute in
+parallel. A cell's history is never written, so a cell overrides
+``eval_every`` as it overrides ``seed``: it scores only its first and last
+epoch.
 
 A config error is the ``ValueError`` its check raises, whose message names
 the key; ``main`` prints it as it stands. Exit codes: 0 success, 1 validation
@@ -46,41 +48,34 @@ from .bundle import (
 )
 from .datagen import GenConfig, apply_gaussian_noise, apply_swap_noise, generate_dataset
 from .metrics import evaluate
-from .model import AffinityParams, Dataset, check_setting, check_unit_interval, field_types
+from .model import (AffinityParams, Dataset, PositiveInt, UnitFloat, base_kind, check_setting,
+                    field_types)
 from .plots import render_sweep_chart, render_training_chart
 from .training import TrainConfig, train
 
 
 # the swept keys; each one's grid is the config key f"{param}_values"
 _SWEEP_PARAMS = ("epsilon", "gauss_rho", "swap_rho")
-# the keys that are not dataclass fields, always filled; a key's type is its default's
-_DEFAULTS = {
-    "swap_rho": 0.0,
-    "gauss_rho": 0.0,
-    **{f"{param}_values": [] for param in _SWEEP_PARAMS},
-    "repeats": 1,
-}
-_SCHEMA: dict[str, type] = {
-    **field_types(GenConfig),
-    **field_types(TrainConfig),
-    **{key: type(default) for key, default in _DEFAULTS.items()},
-}
+# the keys that are not dataclass fields, always filled: each one's kind and default
+_CLI_KEYS = {"swap_rho": (UnitFloat, 0.0), "gauss_rho": (UnitFloat, 0.0),
+             **{f"{param}_values": (list, []) for param in _SWEEP_PARAMS},
+             "repeats": (PositiveInt, 1)}
+_SCHEMA = {**field_types(GenConfig), **field_types(TrainConfig),
+           **{key: kind for key, (kind, _) in _CLI_KEYS.items()}}
 
 
 def validate_config(raw: dict) -> dict:
     """Check a raw config mapping against the flat schema: each key's type, then
-    its range. The seed's range is left to the run it seeds."""
-    cfg = dict(_DEFAULTS)
+    its range by its kind. The seed's range is left to the run it seeds."""
+    cfg = {key: default for key, (_, default) in _CLI_KEYS.items()}
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {reprlib.repr(key)}")
-        cfg[key] = check_setting(value, f"config key {key!r}", _SCHEMA[key])
+        cfg[key] = check_setting(value, f"config key {key!r}", base_kind(_SCHEMA[key]))
     for cls in (GenConfig, TrainConfig):
         config_from(cls, cfg, seed=0)
-    for key in ("gauss_rho", "swap_rho"):
-        check_unit_interval(cfg[key], key)
-    if cfg["repeats"] < 1:
-        raise ValueError("repeats must be at least 1")
+    for key, (kind, _) in _CLI_KEYS.items():
+        check_setting(cfg[key], key, kind)
     return cfg
 
 

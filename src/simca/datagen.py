@@ -21,20 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import solve_lap
-from .model import Dataset, check_fields, check_unit_interval, compute_affinity
+from .model import (Dataset, NonnegInt, PositiveFloat, PositiveInt, UnitFloat, check_fields,
+                    check_setting, compute_affinity)
 
 
 @dataclass(frozen=True)
 class GenConfig:
     n: int = 1000
     m: int = 3
-    d: int = 2
+    d: PositiveInt = 2
     k: int = 3
-    alpha: float = 0.3
-    cluster_spread: float = 0.3
-    dirichlet_conc: float = 1.0
-    extra_spots_per_item: int = 10
-    seed: int = 0
+    alpha: UnitFloat = 0.3
+    cluster_spread: PositiveFloat = 0.3
+    dirichlet_conc: PositiveFloat = 1.0
+    extra_spots_per_item: NonnegInt = 10
+    seed: NonnegInt = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -42,15 +43,6 @@ class GenConfig:
             raise ValueError("need m >= k >= 1")
         if self.m > self.n:
             raise ValueError("need m <= n")
-        if self.d < 1:
-            raise ValueError("need d >= 1")
-        check_unit_interval(self.alpha, "alpha")
-        for name in ("cluster_spread", "dirichlet_conc"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("extra_spots_per_item", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 def round_capacities(proportions, n: int, extra: int) -> np.ndarray:
@@ -114,7 +106,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
     if none with a different item remains (all users on one item, say), the
     procedure stops early with a warning.
     """
-    rho = check_unit_interval(rho, "rho")
+    rho = check_setting(rho, "rho", UnitFloat)
     assign = np.asarray(assign, dtype=np.int64).copy()
     n = len(assign)
     rng = np.random.default_rng(seed)
@@ -139,7 +131,7 @@ def apply_swap_noise(assign, rho: float, seed: int) -> np.ndarray:
 def apply_gaussian_noise(embeddings, rho: float, seed: int) -> np.ndarray:
     """Blend embeddings with fresh standard normal noise:
     sqrt(1 - rho^2) * X + rho * Z. Rows are not re-normalized."""
-    rho = check_unit_interval(rho, "rho")
+    rho = check_setting(rho, "rho", UnitFloat)
     arr = np.asarray(embeddings, dtype=np.float64)
     rng = np.random.default_rng(seed)
     noise = rng.normal(size=arr.shape)

@@ -11,7 +11,9 @@ row-major (one row per user or item). ``Dataset`` and ``AffinityParams``
 validate on construction, so ``compute_affinity`` and the other per-epoch
 kernels take their inputs as given. ``check_setting`` is the one rule for a
 scalar setting: every field of the config dataclasses, every CLI config key
-and every noise level goes through it by its type hint.
+and every noise level goes through it by the kind its type hint names. A kind
+is the setting's whole rule, its type and, for the four bounded kinds
+(``PositiveFloat``, ``UnitFloat``, ``NonnegInt``, ``PositiveInt``), its range.
 """
 from __future__ import annotations
 
@@ -64,25 +66,45 @@ def field_types(cls) -> dict[str, type]:
 # per setting kind, the type a value must have and its name in messages
 _SETTING_KINDS = {bool: (bool, "a boolean"), int: (numbers.Integral, "an integer"),
                   float: (numbers.Real, "a number"), list: (list, "a list of numbers")}
+# the bounded kinds: a type hint that names one checks the range after the type
+PositiveFloat = typing.NewType("PositiveFloat", float)
+UnitFloat = typing.NewType("UnitFloat", float)
+NonnegInt = typing.NewType("NonnegInt", int)
+PositiveInt = typing.NewType("PositiveInt", int)
+# per bounded kind, the test of its range and the phrase of a value outside it
+_RANGES = {PositiveFloat: (lambda v: v > 0, "must be positive"),
+           UnitFloat: (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+           NonnegInt: (lambda v: v >= 0, "must be nonnegative"),
+           PositiveInt: (lambda v: v >= 1, "must be at least 1")}
 
 
-def check_setting(value, name: str, kind: type):
-    """The rule of every setting, returning ``value`` as ``kind``: a bool; an
-    integer, not a bool; a finite real number, not a bool, as a float (an
-    integer beyond the float range is not finite); or a list of such floats."""
-    accepted, noun = _SETTING_KINDS[kind]
-    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+def base_kind(kind) -> type:
+    """The type a setting of ``kind`` must have: a bounded kind's base, else ``kind``."""
+    return getattr(kind, "__supertype__", kind)
+
+
+def check_setting(value, name: str, kind):
+    """The rule of every setting, returning ``value`` as ``kind``'s base type: a
+    bool; an integer, not a bool; a finite real number, not a bool, as a float
+    (an integer beyond the float range is not finite); or a list of such floats.
+    A bounded kind then checks the value's range."""
+    base = base_kind(kind)
+    accepted, noun = _SETTING_KINDS[base]
+    if not isinstance(value, accepted) or (base is not bool and isinstance(value, bool)):
         raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
-    if kind is list:
+    if base is list:
         return [check_setting(v, f"each entry of {name}", float) for v in value]
-    if kind is not float:
-        return kind(value)
     try:
-        if math.isfinite(value):
-            return float(value)
+        finite = base is not float or math.isfinite(value)
     except OverflowError:
-        pass
-    raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
+    value = base(value)
+    in_range, phrase = _RANGES.get(kind, (None, ""))
+    if in_range and not in_range(value):
+        raise ValueError(f"{name} {phrase}")
+    return value
 
 
 def check_fields(obj) -> None:
@@ -91,21 +113,14 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, name, check_setting(getattr(obj, name), name, kind))
 
 
-def check_unit_interval(value, name: str) -> float:
-    """The check of every alpha and noise level: a setting float in [0, 1]."""
-    value = check_setting(value, name, float)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return value
-
-
 def check_capacities(caps, n: int, m: int) -> np.ndarray:
     """The capacity check of every entry point: m nonnegative integers that
     hold the n users. Zero capacities pass; ``Dataset`` alone requires >= 1."""
     arr = _integer_vector(caps, "capacities", m)
     if (arr < 0).any():
         raise ValueError("capacities must be nonnegative")
-    total = int(arr.sum())
+    # Python ints: an int64 sum wraps from 2**63 on
+    total = sum(arr.tolist())
     if total < n:
         raise ValueError(f"infeasible: total capacity {total} < {n} users")
     return arr
@@ -136,14 +151,11 @@ def matching_matrix(assign, m: int) -> np.ndarray:
 class AffinityParams:
     """Trade-off and regularization knobs shared by scoring and transport."""
 
-    alpha: float
-    epsilon: float
+    alpha: UnitFloat
+    epsilon: PositiveFloat
 
     def __post_init__(self):
         check_fields(self)
-        check_unit_interval(self.alpha, "alpha")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -172,8 +184,7 @@ class Dataset:
         if np.any(caps < 1):
             raise ValueError("every capacity must be at least 1")
         matching = check_matching(self.matching, caps, n)
-        alpha = check_unit_interval(self.alpha, "alpha")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", check_setting(self.alpha, "alpha", UnitFloat))
         object.__setattr__(self, "users", users)
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "capacities", caps)

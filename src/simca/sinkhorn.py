@@ -62,7 +62,8 @@ def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     instance's affinity is C-contiguous, the layout whose summation order
     the transport solve keeps."""
     n, m = affinity.shape
-    total = int(caps.sum())
+    # Python ints: an int64 sum wraps from 2**63 on
+    total = sum(caps.tolist())
     if total == n:
         affinity = np.ascontiguousarray(affinity)
         rows = np.ones(n)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .assignment import round_coupling
 from .metrics import f1_scores, mean_embedding_distance
-from .model import AffinityParams, Dataset, check_fields, compute_affinity, matching_matrix
+from .model import (Dataset, NonnegInt, PositiveFloat, PositiveInt, UnitFloat, check_fields,
+                    compute_affinity, matching_matrix)
 # cross_entropy_loss stays importable here for the tests and perfbench's tracer
 from .sinkhorn import cross_entropy_loss, extend_with_slack, matched_cross_entropy, solve_ot  # noqa: F401
 
@@ -37,26 +38,17 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class TrainConfig:
     """Hyperparameters of a training run."""
 
-    epsilon: float = 0.1
-    alpha: float = 0.3
-    sinkhorn_iters: int = 10
-    learning_rate: float = 0.01
-    epochs: int = 400
-    seed: int = 0
+    epsilon: PositiveFloat = 0.1
+    alpha: UnitFloat = 0.3
+    sinkhorn_iters: PositiveInt = 10
+    learning_rate: PositiveFloat = 0.01
+    epochs: NonnegInt = 400
+    seed: NonnegInt = 0
     joint_users: bool = False
-    eval_every: int = 1
+    eval_every: PositiveInt = 1
 
     def __post_init__(self):
         check_fields(self)
-        AffinityParams(self.alpha, self.epsilon)
-        for name in ("sinkhorn_iters", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass

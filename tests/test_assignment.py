@@ -50,6 +50,14 @@ def test_infeasible_capacity_raises():
         solve_lap(np.zeros((3, 2)), np.array([1, 1]))
 
 
+def test_capacities_whose_total_passes_2_to_the_63_match_brute_force():
+    scores = [[1, 0], [0, 1], [1, 1]]
+    caps = [2**62, 2**62]
+    fast, slow = solve_lap(scores, caps), brute_force_lap(scores, caps)
+    assert np.array_equal(fast.matching, slow.matching)
+    assert fast.objective == slow.objective
+
+
 def test_nonfinite_scores_rejected():
     M = np.zeros((2, 2))
     M[0, 0] = np.inf

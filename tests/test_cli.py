@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from simca.cli import (
 )
 from simca.datagen import GenConfig, apply_gaussian_noise
 from simca.metrics import evaluate
-from simca.model import AffinityParams, field_types
+from simca.model import (AffinityParams, NonnegInt, PositiveFloat, PositiveInt, UnitFloat,
+                         base_kind, field_types)
 from simca.training import TrainConfig
 
 SMALL_CONFIG = {
@@ -83,28 +85,62 @@ def test_validate_config_type_errors():
         validate_config({"epsilon_values": [0.1, 10**400]})
 
 
-# per type hint, values each setting of that kind must reject
+# per base type of a kind, values each setting of that kind must reject
 _BAD_SETTINGS = {
     int: {"bool": True, "string": "3", "fraction": 2.5},
     float: {"bool": True, "string": "0.3", "nan": math.nan, "inf": math.inf,
             "int-beyond-float": 10**400},
     bool: {"int": 1, "string": "true"},
 }
+# per bounded kind, the error of a value out of its range, values that get it,
+# and the values at its bounds, which pass
+_RANGES = {
+    PositiveFloat: ("must be positive", {"zero": 0.0, "negative": -1.0}, [5e-324]),
+    UnitFloat: (r"must lie in \[0, 1\]", {"negative": -0.1, "above-one": 1.5}, [0, 1]),
+    NonnegInt: ("must be nonnegative", {"negative": -1}, [0]),
+    PositiveInt: ("must be at least 1", {"zero": 0}, [1]),
+}
+# the config keys that are no dataclass field, with their kinds
+_CLI_KEYS = {"swap_rho": UnitFloat, "gauss_rho": UnitFloat, "repeats": PositiveInt}
 
 
-@pytest.mark.parametrize("cls, name, value", [
-    pytest.param(cls, name, value, id=f"{cls.__name__}-{name}-{label}")
-    for cls in (GenConfig, TrainConfig, AffinityParams)
-    for name, kind in field_types(cls).items()
-    for label, value in _BAD_SETTINGS[kind].items()
-])
-def test_every_setting_field_follows_one_rule(cls, name, value):
-    required = {"alpha": 0.3, "epsilon": 0.1} if cls is AffinityParams else {}
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        cls(**{**required, name: value})
+def _setting_cases():
+    """Per setting, a bad or boundary value with the error the setting's class
+    and ``validate_config`` each raise, None where it passes; a config key that
+    is no dataclass field has no class."""
+    settings = [(cls, name, kind) for cls in (GenConfig, TrainConfig, AffinityParams)
+                for name, kind in field_types(cls).items()]
+    settings += [(None, name, kind) for name, kind in _CLI_KEYS.items()]
+    for cls, name, kind in settings:
+        owner = "config" if cls is None else cls.__name__
+        for label, value in _BAD_SETTINGS[base_kind(kind)].items():
+            yield pytest.param(cls, name, value, f"^{name} must be",
+                               f"^config key '{name}' must be", id=f"{owner}-{name}-{label}")
+        if kind not in _RANGES:
+            continue
+        phrase, outside, bounds = _RANGES[kind]
+        for label, value in outside.items():
+            # the seed's range is left to the run it seeds
+            error = f"^{name} {phrase}$"
+            yield pytest.param(cls, name, value, error, None if name == "seed" else error,
+                               id=f"{owner}-{name}-{label}")
+        for value in bounds:
+            yield pytest.param(cls, name, value, None, None, id=f"{owner}-{name}-bound-{value}")
+
+
+def _raises(error):
+    return nullcontext() if error is None else pytest.raises(ValueError, match=error)
+
+
+@pytest.mark.parametrize("cls, name, value, field_error, config_error", _setting_cases())
+def test_every_setting_field_follows_one_rule(cls, name, value, field_error, config_error):
+    if cls is not None:
+        required = {"alpha": 0.3, "epsilon": 0.1} if cls is AffinityParams else {}
+        with _raises(field_error):
+            assert getattr(cls(**{**required, name: value}), name) == value
     # AffinityParams' fields are TrainConfig's alpha and epsilon, so every name is a config key
-    with pytest.raises(ValueError, match=f"^config key '{name}' must be"):
-        validate_config({name: value})
+    with _raises(config_error):
+        assert validate_config({name: value})[name] == value
 
 
 def test_config_dataclasses_roundtrip_through_the_schema():
@@ -725,7 +761,7 @@ def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
     ("sweep", {"swap_rho": 1.5, "epsilon_values": [0.1]}, "swap_rho must lie in [0, 1]"),
     ("generate", {"learning_rate": -1}, "learning_rate must be positive"),
     ("train", {"repeats": 0}, "repeats must be at least 1"),
-    ("train", {"d": 0}, "need d >= 1"),
+    ("train", {"d": 0}, "d must be at least 1"),
     ("sweep", {"m": 0, "epsilon_values": [0.1]}, "need m >= k >= 1"),
 ], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho",
         "sweep-swap-rho", "generate-learning-rate", "train-repeats", "train-d", "sweep-m"])

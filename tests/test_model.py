@@ -9,6 +9,7 @@ from simca.model import (
     AffinityParams,
     Dataset,
     as_matrix,
+    check_capacities,
     compute_affinity,
     matching_matrix,
 )
@@ -238,6 +239,12 @@ def test_dataset_rejects_malformed_seed_and_alpha(value):
     ds = Dataset(users=users, distances=distances, capacities=np.array([2, 1]),
                  matching=np.array([0, 1, 0]), alpha=1)
     assert type(ds.alpha) is float and ds.alpha == 1.0
+
+
+def test_capacities_whose_total_passes_2_to_the_63_are_feasible():
+    # an int64 sum of these wraps to -2**63
+    caps = check_capacities([2**62, 2**62], 3, 2)
+    assert caps.tolist() == [2**62, 2**62]
 
 
 def test_zero_capacity_passes_the_lap_but_not_a_dataset():

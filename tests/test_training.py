@@ -17,7 +17,7 @@ from simca.metrics import evaluate
 from simca.assignment import round_coupling
 from simca.cli import main
 from simca.metrics import f1_scores, mean_embedding_distance
-from simca.model import AffinityParams, compute_affinity, matching_matrix
+from simca.model import AffinityParams, Dataset, compute_affinity, matching_matrix
 from simca.sinkhorn import extend_with_slack, matched_cross_entropy, ot_value, solve_ot
 from simca.training import (
     AdamState,
@@ -415,6 +415,16 @@ def test_small_epsilon_trains_with_a_finite_loss():
     assert all(np.isfinite(r.loss) for r in result.history)
     report = evaluate(ds, result.items, AffinityParams(0.3, 0.001))
     assert report.converged and np.isfinite(report.cross_entropy)
+
+
+def test_capacities_whose_total_passes_2_to_the_63_train_with_a_finite_loss():
+    # the slack row's mass is the capacity total less n, summed without int64 wrap
+    ds = Dataset(users=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                 distances=[[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                 capacities=[2**62, 2**62], matching=[0, 1, 0], alpha=0.3)
+    result = train(ds, TrainConfig(epochs=3))
+    assert len(result.history) == 3
+    assert all(np.isfinite(r.loss) for r in result.history)
 
 
 def test_loss_from_potentials_matches_the_coupling():
