@@ -6,16 +6,18 @@ so a typo in a hyperparameter never passes silently. Each key has one kind,
 its field's type hint or its entry in ``_CLI_KEYS``, which is its whole rule.
 ``validate_config`` checks every key's type and range by its kind before any
 command runs, the generator keys too, so ``train``, ``evaluate`` and ``sweep``
-reject a value ``generate`` would. The seed's range is left out: the run it
-seeds checks it, so a sweep's master seed, which only feeds ``derive_seed``,
-may be negative. Training and scoring use the bundle's alpha unless the config
-sets one, and a run is scored with the users it trained on. A sweep cell is a
-train run with one key set: the swept value replaces that key and every other
-noise level is zero. Sweep runs derive their seeds by hashing (master seed,
-grid point, repeat), which makes them reproducible and safe to execute in
-parallel. A cell's history is never written, so a cell overrides
-``eval_every`` as it overrides ``seed``: it scores only its first and last
-epoch.
+reject a value ``generate`` would; each entry of a grid ``<param>_values``
+obeys the kind of the key ``param`` it replaces, and ``--jobs`` is a
+``PositiveInt``. A sweep's error rows hold only failures at run time. The
+seed's range is left out: the run it seeds checks it, so a sweep's master
+seed, which only feeds ``derive_seed``, may be negative. Training and scoring
+use the bundle's alpha unless the config sets one, and a run is scored with
+the users it trained on. A sweep cell is a train run with one key set: the
+swept value replaces that key and every other noise level is zero. Sweep runs
+derive their seeds by hashing (master seed, grid point, repeat), which makes
+them reproducible and safe to execute in parallel. A cell's history is never
+written, so a cell overrides ``eval_every`` as it overrides ``seed``: it
+scores only its first and last epoch.
 
 A config error is the ``ValueError`` its check raises, whose message names
 the key; ``main`` prints it as it stands. Exit codes: 0 success, 1 validation
@@ -65,13 +67,17 @@ _SCHEMA = {**field_types(GenConfig), **field_types(TrainConfig),
 
 
 def validate_config(raw: dict) -> dict:
-    """Check a raw config mapping against the flat schema: each key's type, then
-    its range by its kind. The seed's range is left to the run it seeds."""
+    """Check a raw config mapping against the flat schema: each key's type, each
+    grid entry by the kind of the key it sweeps, then each key's range by its
+    kind. The seed's range is left to the run it seeds."""
     cfg = {key: default for key, (_, default) in _CLI_KEYS.items()}
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ValueError(f"unknown config key {reprlib.repr(key)}")
         cfg[key] = check_setting(value, f"config key {key!r}", base_kind(_SCHEMA[key]))
+    for param in _SWEEP_PARAMS:
+        key = f"{param}_values"
+        cfg[key] = [check_setting(v, f"each entry of {key}", _SCHEMA[param]) for v in cfg[key]]
     for cls in (GenConfig, TrainConfig):
         config_from(cls, cfg, seed=0)
     for key, (kind, _) in _CLI_KEYS.items():
@@ -200,14 +206,11 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
 
 def run_sweep(bundle_dir, cfg: dict, out_dir, jobs: int = 1,
               quiet: bool = False) -> tuple[list[SweepRow], int]:
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    check_setting(jobs, "--jobs", PositiveInt)
     points = [(param, value) for param in _SWEEP_PARAMS for value in cfg[f"{param}_values"]]
     if not points:
-        raise ValueError(
-            "sweep needs a non-empty grid: set epsilon_values, "
-            "gauss_rho_values or swap_rho_values"
-        )
+        keys = ", ".join(f"{param}_values" for param in _SWEEP_PARAMS)
+        raise ValueError(f"sweep needs a non-empty grid: set one of {keys}")
     dataset = load_dataset(bundle_dir)
     master_seed = cfg.get("seed", TrainConfig.seed)
     tasks = [

@@ -10,10 +10,11 @@ Matrices are plain float64 numpy arrays throughout; embedding matrices are
 row-major (one row per user or item). ``Dataset`` and ``AffinityParams``
 validate on construction, so ``compute_affinity`` and the other per-epoch
 kernels take their inputs as given. ``check_setting`` is the one rule for a
-scalar setting: every field of the config dataclasses, every CLI config key
-and every noise level goes through it by the kind its type hint names. A kind
-is the setting's whole rule, its type and, for the four bounded kinds
-(``PositiveFloat``, ``UnitFloat``, ``NonnegInt``, ``PositiveInt``), its range.
+scalar setting: every field of the config dataclasses, every CLI config key,
+every swept value and every noise level goes through it by the kind its type
+hint names. A kind is the setting's whole rule, its type and, for the four
+bounded kinds (``PositiveFloat``, ``UnitFloat``, ``NonnegInt``,
+``PositiveInt``), its range.
 """
 from __future__ import annotations
 
@@ -86,14 +87,12 @@ def base_kind(kind) -> type:
 def check_setting(value, name: str, kind):
     """The rule of every setting, returning ``value`` as ``kind``'s base type: a
     bool; an integer, not a bool; a finite real number, not a bool, as a float
-    (an integer beyond the float range is not finite); or a list of such floats.
-    A bounded kind then checks the value's range."""
+    (an integer beyond the float range is not finite); or a list, whose entries
+    its user checks. A bounded kind then checks the value's range."""
     base = base_kind(kind)
     accepted, noun = _SETTING_KINDS[base]
     if not isinstance(value, accepted) or (base is not bool and isinstance(value, bool)):
         raise ValueError(f"{name} must be {noun}, got {reprlib.repr(value)}")
-    if base is list:
-        return [check_setting(v, f"each entry of {name}", float) for v in value]
     try:
         finite = base is not float or math.isfinite(value)
     except OverflowError:

@@ -279,11 +279,14 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     G, so ``1/m`` is added to every entry. Levenberg-Marquardt damping keeps
     the step bounded where an item has no fractional user, and vanishes with
     the gradient, so the last steps approach pure Newton (Brauer, Clason,
-    Lorenz & Wirth 2017; Cuturi & Peyre 2018). It is ``||g||_inf * I`` on the
-    potentials in affinity units, ``epsilon * log_b``, which is
-    ``epsilon * ||g||_inf * I`` here: a damped step then moves each potential
-    by up to about one unit of affinity, not one unit of ``log_b``, which at
-    small epsilon would take hundreds of steps.
+    Lorenz & Wirth 2017; Cuturi & Peyre 2018). Up to epsilon = 1 it is
+    ``||g||_inf * I`` on the potentials in affinity units, ``epsilon * log_b``,
+    which is ``epsilon * ||g||_inf * I`` here: a damped step then moves each
+    potential by up to about one unit of affinity, not one unit of ``log_b``,
+    which at small epsilon would take hundreds of steps. Above epsilon = 1 a
+    unit of affinity is less than a unit of ``log_b``, and steps that small
+    would grow in number like epsilon; there the damping stays
+    ``||g||_inf * I``, a step of up to about one unit of ``log_b``.
 
     A step is halved until G drops by the Armijo fraction. Near the optimum
     G's drop is below its own rounding; a step is then taken when it lowers
@@ -308,7 +311,7 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
         grad = here.col_sums - c
         pi = here.coupling
         hess = np.diag(here.col_sums) - pi.T @ (pi / r[:, None]) + 1.0 / m
-        hess[np.diag_indices(m)] += inst.epsilon * np.abs(grad).max()
+        hess[np.diag_indices(m)] += min(inst.epsilon, 1.0) * np.abs(grad).max()
         try:
             direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:

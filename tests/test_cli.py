@@ -450,11 +450,19 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
         assert code == 1
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+    # a library call checks jobs by its kind too, before the absent bundle is read
+    cfg = validate_config(read_json(config))
+    for jobs, error in ((True, "an integer"), (2.5, "an integer"), (0, "at least 1")):
+        out = tmp_path / f"sweep{jobs}"
+        with pytest.raises(ValueError, match=f"^--jobs must be {error}"):
+            run_sweep(tmp_path / "bundle", cfg, out, jobs=jobs, quiet=True)
+        assert not out.exists()
 
 
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):
-    # a nonpositive epsilon fails at run level and lands in the error column
-    config = write_config(tmp_path, {"epsilon_values": [0.1, -1.0], "repeats": 1, "epochs": 2})
+    # the smallest positive epsilon passes its kind, but M / epsilon overflows
+    # at epoch 0: the cell fails at run time and lands in the error column
+    config = write_config(tmp_path, {"epsilon_values": [0.1, 5e-324], "repeats": 1, "epochs": 2})
     bundle = tmp_path / "bundle"
     main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
     out = tmp_path / "sweep"
@@ -465,7 +473,7 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     assert len(rows) == 2
     errors = [r for r in rows if r.error]
     assert len(errors) == 1
-    assert errors[0].grid_value == -1.0
+    assert errors[0].grid_value == 5e-324
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -617,21 +625,6 @@ def test_train_rejects_negative_noise(tmp_path, capsys, noise):
     assert "rho must lie in [0, 1]" in capsys.readouterr().err
 
 
-def test_sweep_negative_noise_cells_are_error_rows(tmp_path):
-    config = write_config(tmp_path, {"epochs": 2, "gauss_rho_values": [0.0, -0.5],
-                                     "swap_rho_values": [-3.0]})
-    bundle = tmp_path / "bundle"
-    main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
-                 "--out", str(out), "--quiet"])
-    assert code == 3
-    rows = load_sweep(out / "sweep.csv")
-    failed = {(r.grid_param, r.grid_value) for r in rows if r.error}
-    assert failed == {("gauss_rho", -0.5), ("swap_rho", -3.0)}
-    assert all("rho must lie in [0, 1]" in r.error for r in rows if r.error)
-
-
 def test_swap_noise_config_changes_training_signal(tmp_path):
     config = write_config(tmp_path, {"epochs": 3})
     noisy_config = write_config(tmp_path, {"epochs": 3, "swap_rho": 0.4}, name="noisy.json")
@@ -763,11 +756,17 @@ def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
     ("train", {"repeats": 0}, "repeats must be at least 1"),
     ("train", {"d": 0}, "d must be at least 1"),
     ("sweep", {"m": 0, "epsilon_values": [0.1]}, "need m >= k >= 1"),
+    ("sweep", {"epsilon_values": [0.1, -1.0]}, "each entry of epsilon_values must be positive"),
+    ("sweep", {"gauss_rho_values": [0.0, 1.5]},
+     "each entry of gauss_rho_values must lie in [0, 1]"),
+    ("train", {"swap_rho_values": [2.0]}, "each entry of swap_rho_values must lie in [0, 1]"),
 ], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho",
-        "sweep-swap-rho", "generate-learning-rate", "train-repeats", "train-d", "sweep-m"])
+        "sweep-swap-rho", "generate-learning-rate", "train-repeats", "train-d", "sweep-m",
+        "sweep-epsilon-values", "sweep-gauss-rho-values", "train-swap-rho-values"])
 def test_config_is_checked_before_any_file_is_read(tmp_path, capsys, command, setting, message):
     # the bundle and the learned directory do not exist: the config error comes first,
-    # and every command checks every key, not only the keys it uses
+    # and every command checks every key, not only the keys it uses; a grid entry
+    # obeys the kind of the key it sweeps
     config = write_config(tmp_path, setting)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if command != "generate":

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import simca.sinkhorn
 from helpers import projected_gradient_ot, reference_solve_ot
+from simca.datagen import GenConfig, generate_dataset
+from simca.model import compute_affinity
 from simca.sinkhorn import entropy, extend_with_slack, ot_value, solve_ot
 
 
@@ -335,3 +337,16 @@ def test_reference_loop_edge_stops(monkeypatch):
     exact = solve_ot(inst, tol=0.0)
     assert not exact.converged and 0 < exact.marginal_error < 1e-12
     assert exact.iterations < 60 and len(trials) < 400
+
+
+@pytest.mark.parametrize("epsilon", [100.0, 1e4])
+def test_newton_steps_do_not_grow_with_large_epsilon(epsilon):
+    # the damping's epsilon factor stops at 1: damped by epsilon * ||g||_inf, a
+    # step moves log_b by about 1/epsilon, and this instance took 76 steps at
+    # epsilon = 100 and 6,757 at 1e4
+    ds = generate_dataset(GenConfig(n=300, m=3, seed=7))
+    affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
+    inst = extend_with_slack(affinity, ds.capacities, epsilon)
+    fast = solve_ot(inst, tol=1e-10)
+    assert fast.converged and fast.iterations <= 20
+    _assert_agrees(fast, reference_solve_ot(inst, tol=1e-10), inst, 1e-10)
