@@ -9,15 +9,17 @@ command runs, the generator keys too, so ``train``, ``evaluate`` and ``sweep``
 reject a value ``generate`` would; each entry of a grid ``<param>_values``
 obeys the kind of the key ``param`` it replaces, and ``--jobs`` is a
 ``PositiveInt``. A sweep's error rows hold only failures at run time. The
-seed's range is left out: the run it seeds checks it, so a sweep's master
-seed, which only feeds ``derive_seed``, may be negative. Training and scoring
-use the bundle's alpha unless the config sets one, and a run is scored with
-the users it trained on. A sweep cell is a train run with one key set: the
-swept value replaces that key and every other noise level is zero. Sweep runs
-derive their seeds by hashing (master seed, grid point, repeat), which makes
-them reproducible and safe to execute in parallel. A cell's history is never
-written, so a cell overrides ``eval_every`` as it overrides ``seed``: it
-scores only its first and last epoch.
+seed is set only in the config, so it too is checked by its kind, a
+``NonnegInt``, a sweep's master seed included. Training and scoring use the
+bundle's alpha unless the config sets one. A run is scored with the users it
+trained on: ``evaluate`` scores the users of the ``Dataset`` it is given, so
+the run replaces the bundle's users with its own. A sweep cell is a train run
+with one key set: the swept value replaces that key and every other noise
+level is zero. Sweep runs derive their seeds by hashing (master seed, grid
+point, repeat), which makes them reproducible and safe to execute in
+parallel. A cell's history is never written, so a cell overrides
+``eval_every`` as it overrides ``seed``: it scores only its first and last
+epoch.
 
 A config error is the ``ValueError`` its check raises, whose message names
 the key; ``main`` prints it as it stands. Exit codes: 0 success, 1 validation
@@ -69,7 +71,7 @@ _SCHEMA = {**field_types(GenConfig), **field_types(TrainConfig),
 def validate_config(raw: dict) -> dict:
     """Check a raw config mapping against the flat schema: each key's type, each
     grid entry by the kind of the key it sweeps, then each key's range by its
-    kind. The seed's range is left to the run it seeds."""
+    kind."""
     cfg = {key: default for key, (_, default) in _CLI_KEYS.items()}
     for key, value in raw.items():
         if key not in _SCHEMA:
@@ -79,7 +81,7 @@ def validate_config(raw: dict) -> dict:
         key = f"{param}_values"
         cfg[key] = [check_setting(v, f"each entry of {key}", _SCHEMA[param]) for v in cfg[key]]
     for cls in (GenConfig, TrainConfig):
-        config_from(cls, cfg, seed=0)
+        config_from(cls, cfg)
     for key, (kind, _) in _CLI_KEYS.items():
         check_setting(cfg[key], key, kind)
     return cfg
@@ -112,11 +114,9 @@ def run_generate(cfg: dict, out_dir, quiet: bool = False) -> Path:
     return bundle
 
 
-def _train_config(cfg: dict, dataset: Dataset | None = None, **overrides) -> TrainConfig:
-    """The run's checked ``TrainConfig``; once the bundle is read, alpha
-    defaults to the bundle's."""
-    bundle = {} if dataset is None else {"alpha": dataset.alpha}
-    return config_from(TrainConfig, {**bundle, **cfg}, **overrides)
+def _train_config(cfg: dict, dataset: Dataset, **overrides) -> TrainConfig:
+    """The run's checked ``TrainConfig``; alpha defaults to the bundle's."""
+    return config_from(TrainConfig, {"alpha": dataset.alpha, **cfg}, **overrides)
 
 
 def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrides):
@@ -137,8 +137,8 @@ def _fit(dataset: Dataset, cfg: dict, gauss_seed: int, swap_seed: int, **overrid
 
 
 def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
-    seed = _train_config(cfg).seed
     dataset = load_dataset(bundle_dir)
+    seed = cfg.get("seed", TrainConfig.seed)
     if "alpha" in cfg and abs(cfg["alpha"] - dataset.alpha) > 1e-12:
         print(f"warning: config alpha {cfg['alpha']} differs from "
               f"bundle alpha {dataset.alpha}; using config value", file=sys.stderr)
@@ -161,12 +161,13 @@ def run_train(bundle_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
 def run_evaluate(bundle_dir, learned_dir, cfg: dict, out_dir, quiet: bool = False) -> Path:
     dataset = load_dataset(bundle_dir)
     learned = Path(learned_dir)
-    items_hat = read_matrix_csv(learned / "items_learned.csv", (None, dataset.dim))
+    items_hat = read_matrix_csv(learned / "items_learned.csv", (dataset.n_items, dataset.dim))
     users_path = learned / "users_learned.csv"
-    users_eval = read_matrix_csv(users_path, (None, dataset.dim)) if users_path.exists() else None
+    if users_path.exists():
+        dataset = dataclasses.replace(dataset, users=read_matrix_csv(users_path, dataset.users.shape))
     train_cfg = _train_config(cfg, dataset)
     params = AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon)
-    report = evaluate(dataset, items_hat, params, users_eval=users_eval)
+    report = evaluate(dataset, items_hat, params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_eval_report(report, out / "eval.json")
@@ -189,13 +190,10 @@ def run_sweep_point(dataset: Dataset, cfg: dict, param: str, grid_index: int,
         # the history gives only the final loss, so the cell scores only its ends
         train_cfg, result, users = _fit(dataset, cell, noise_seed, noise_seed, seed=run_seed,
                                         eval_every=max(1, cell.get("epochs", TrainConfig.epochs)))
-        # score against the original (uncorrupted) matching
-        report = evaluate(
-            dataset,
-            result.items,
-            AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon),
-            users_eval=users,
-        )
+        # score against the original (uncorrupted) matching, with the users the run trained on
+        scored = dataset if users is None else dataclasses.replace(dataset, users=users)
+        report = evaluate(scored, result.items,
+                          AffinityParams(alpha=train_cfg.alpha, epsilon=train_cfg.epsilon))
         final_loss = result.history[-1].loss if result.history else math.nan
         dist = report.mean_embed_dist if report.mean_embed_dist is not None else math.nan
         return SweepRow(**cell_key, final_loss=final_loss, final_f1_micro=report.f1_micro,
@@ -264,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="flat JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("generate", help="write a synthetic dataset bundle")
@@ -298,8 +295,6 @@ def main(argv=None) -> int:
             run_plot(args.results, args.out, quiet=args.quiet)
             return 0
         cfg = validate_config({} if args.config is None else read_json(args.config))
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         if args.command == "generate":
             run_generate(cfg, args.out, quiet=args.quiet)
         elif args.command == "train":

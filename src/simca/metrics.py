@@ -55,23 +55,22 @@ class EvalReport:
     sinkhorn_iterations: int
 
 
-def evaluate(dataset: Dataset, items_hat, params: AffinityParams, users_eval=None) -> EvalReport:
+def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
     """Score learned item embeddings by re-deriving the allocation.
 
-    Recomputes the affinity matrix with ``users_eval`` (the dataset's users by
-    default), solves the regularized transport problem to ``EVAL_TOL``, rounds
-    the coupling to a hard matching via the LAP, and compares it to the
-    dataset's observed matching. A solve that stops short of ``EVAL_TOL``,
-    at its step cap or stalled, is reported, not raised: ``converged`` is
-    False. ``cross_entropy`` comes from the solve's log-domain potentials.
-    This is the entry check for learned arrays: ``items_hat`` must be a
-    finite (m, d) matrix and ``users_eval`` a finite (n, d) one.
+    Recomputes the affinity matrix with the dataset's users, solves the
+    regularized transport problem to ``EVAL_TOL``, rounds the coupling to a
+    hard matching via the LAP, and compares it to the dataset's observed
+    matching. A solve that stops short of ``EVAL_TOL``, at its step cap or
+    stalled, is reported, not raised: ``converged`` is False.
+    ``cross_entropy`` comes from the solve's log-domain potentials. This is
+    the entry check for the learned items: ``items_hat`` must be a finite
+    (m, d) matrix. To score other users, learned ones or another cohort, pass
+    ``dataclasses.replace(dataset, users=U)``, whose users ``Dataset`` checks
+    like any others.
     """
     items_hat = as_matrix(items_hat, "items_hat", (dataset.n_items, dataset.dim))
-    users = dataset.users
-    if users_eval is not None:
-        users = as_matrix(users_eval, "users_eval", (dataset.n_users, dataset.dim))
-    affinity = compute_affinity(users, items_hat, dataset.distances, params.alpha)
+    affinity = compute_affinity(dataset.users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
     result = solve_ot(inst, tol=EVAL_TOL)
     # the LAP kernel trusts its plan: finite items can still overflow the affinity

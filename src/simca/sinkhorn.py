@@ -141,12 +141,13 @@ class _LogKernel:
     """The row and column log-sum-exps over ``M / epsilon``, items-major.
 
     ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) copy made once
-    per solve, and ``buf`` is one scratch buffer of that shape. Every step of
-    a log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
-    runs on ``buf``, where each reduction runs along the long, contiguous
-    axis. Elementwise steps and maxima give the same bits in any layout. The
-    sums add in the order of ``sum`` on the plain loop's C-ordered (n+1, m)
-    layout, so every output bit stays the same:
+    per solve; a divide that overflows, as at too small an epsilon, is a
+    ``ValueError`` naming epsilon. ``buf`` is one scratch buffer of that
+    shape. Every step of a log-sum-exp (the add, the max, the subtract, the
+    ``exp`` and the sums) runs on ``buf``, where each reduction runs along the
+    long, contiguous axis. Elementwise steps and maxima give the same bits in
+    any layout. The sums add in the order of ``sum`` on the plain loop's
+    C-ordered (n+1, m) layout, so every output bit stays the same:
 
     - per user, over the items (``row_lse``, the coupling's row sums):
       numpy's pairwise order for a contiguous run of m values
@@ -162,7 +163,11 @@ class _LogKernel:
 
     def __init__(self, inst: OtInstance):
         self.inst = inst
-        self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
+        try:
+            with np.errstate(over="raise"):
+                self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
+        except FloatingPointError:
+            raise ValueError(f"affinity / epsilon overflows at epsilon={inst.epsilon!r}") from None
         self.buf = np.empty_like(self.log_kt)
 
     def row_lse(self, log_b) -> np.ndarray:

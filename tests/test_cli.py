@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,10 +120,8 @@ def _setting_cases():
             continue
         phrase, outside, bounds = _RANGES[kind]
         for label, value in outside.items():
-            # the seed's range is left to the run it seeds
             error = f"^{name} {phrase}$"
-            yield pytest.param(cls, name, value, error, None if name == "seed" else error,
-                               id=f"{owner}-{name}-{label}")
+            yield pytest.param(cls, name, value, error, error, id=f"{owner}-{name}-{label}")
         for value in bounds:
             yield pytest.param(cls, name, value, None, None, id=f"{owner}-{name}-bound-{value}")
 
@@ -222,7 +220,7 @@ def test_evaluate_scores_the_learned_users(tmp_path):
     users = read_matrix_csv(run_dir / "users_learned.csv", (40, 2))
     params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
     report = json.loads((tmp_path / "eval" / "eval.json").read_text())
-    assert report == asdict(evaluate(dataset, items, params, users_eval=users))
+    assert report == asdict(evaluate(replace(dataset, users=users), items, params))
     assert report != asdict(evaluate(dataset, items, params))
 
 
@@ -364,20 +362,32 @@ def test_zero_epochs_writes_initialization(tmp_path):
     assert (run_dir / "items_learned.csv").exists()
 
 
-def test_evaluate_truncated_items_exits_1(tmp_path, capsys):
-    config = write_config(tmp_path, {"epochs": 0})
+def _evaluate_with_a_row_cut(tmp_path, capsys, name, extra=None) -> str:
+    """Train for 0 epochs, cut the last row of the learned file ``name`` and
+    evaluate, which must exit 1; returns its error."""
+    config = write_config(tmp_path, {"epochs": 0, **(extra or {})})
     bundle = tmp_path / "bundle"
     main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
     run_dir = tmp_path / "run"
     main(["train", "--bundle", str(bundle), "--config", str(config),
           "--out", str(run_dir), "--quiet"])
-    items_path = run_dir / "items_learned.csv"
+    path = run_dir / name
     # every row has the right width; one row is missing
-    items_path.write_text("".join(items_path.read_text().splitlines(keepends=True)[:-1]))
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     code = main(["evaluate", "--bundle", str(bundle), "--learned", str(run_dir),
                  "--out", str(tmp_path / "eval"), "--quiet"])
     assert code == 1
-    assert "items_hat shape" in capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def test_evaluate_truncated_items_exits_1(tmp_path, capsys):
+    err = _evaluate_with_a_row_cut(tmp_path, capsys, "items_learned.csv")
+    assert "items_learned.csv shape (2, 2) does not match (3, 2)" in err
+
+
+def test_evaluate_truncated_users_exits_1(tmp_path, capsys):
+    err = _evaluate_with_a_row_cut(tmp_path, capsys, "users_learned.csv", {"joint_users": True})
+    assert "users_learned.csv shape (39, 2) does not match (40, 2)" in err
 
 
 def test_generation_is_byte_identical_per_seed(tmp_path):
@@ -389,13 +399,23 @@ def test_generation_is_byte_identical_per_seed(tmp_path):
         assert (a / f).read_bytes() == (b / f).read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    config = write_config(tmp_path)
+def test_config_seed_sets_the_bundle(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["generate", "--config", str(config), "--out", str(a), "--quiet"])
-    main(["generate", "--config", str(config), "--out", str(b), "--seed", "99", "--quiet"])
+    main(["generate", "--config", str(write_config(tmp_path)), "--out", str(a), "--quiet"])
+    other = write_config(tmp_path, {"seed": 99}, name="other.json")
+    main(["generate", "--config", str(other), "--out", str(b), "--quiet"])
     assert (a / "users.csv").read_bytes() != (b / "users.csv").read_bytes()
     assert json.loads((b / "meta.json").read_text())["seed"] == 99
+
+
+def test_no_command_takes_a_seed_flag(tmp_path, capsys):
+    # the seed is a config key alone, so it is checked with the others
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--config", str(config), "--out", str(tmp_path / "a"), "--seed", "99"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
 
 
 def test_train_history_is_reproducible(tmp_path):
@@ -461,7 +481,7 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
 
 def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     # the smallest positive epsilon passes its kind, but M / epsilon overflows
-    # at epoch 0: the cell fails at run time and lands in the error column
+    # at epoch 0: the cell fails at run time, naming epsilon, in the error column
     config = write_config(tmp_path, {"epsilon_values": [0.1, 5e-324], "repeats": 1, "epochs": 2})
     bundle = tmp_path / "bundle"
     main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"])
@@ -474,6 +494,7 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     errors = [r for r in rows if r.error]
     assert len(errors) == 1
     assert errors[0].grid_value == 5e-324
+    assert errors[0].error == "ValueError: affinity / epsilon overflows at epsilon=5e-324"
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -601,9 +622,9 @@ def test_train_rejects_malformed_bundle_seed_and_alpha(tmp_path, capsys, value):
 @pytest.mark.parametrize("seed", [2**63, 2**64])
 def test_seeds_beyond_int64_run_end_to_end(tmp_path, seed):
     # numpy seeds a generator from any nonnegative int; meta.json keeps the seed exactly
-    config = write_config(tmp_path, {"epochs": 2})
+    config = write_config(tmp_path, {"epochs": 2, "seed": seed})
     bundle, run = tmp_path / "bundle", tmp_path / "run"
-    flags = ["--config", str(config), "--seed", str(seed), "--quiet"]
+    flags = ["--config", str(config), "--quiet"]
     assert main(["generate", "--out", str(bundle), *flags]) == 0
     assert json.loads((bundle / "meta.json").read_text())["seed"] == seed
     assert main(["train", "--bundle", str(bundle), "--out", str(run), *flags]) == 0
@@ -657,24 +678,22 @@ def test_generate_at_benchmark_scale(tmp_path):
     assert sum(meta["capacities"]) == 1030
 
 
-def test_negative_seed_names_the_key_but_a_sweep_master_seed_may_be_negative(tmp_path, capsys):
+def test_negative_seed_names_the_key_in_every_command(tmp_path, capsys):
     for cls in (GenConfig, TrainConfig):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             cls(seed=-1)
-    config = write_config(tmp_path, {"epochs": 2, "epsilon_values": [0.1]})
     bundle = tmp_path / "bundle"
-    assert main(["generate", "--config", str(config), "--out", str(bundle), "--quiet"]) == 0
-    code = main(["train", "--bundle", str(bundle), "--config", str(config),
-                 "--out", str(tmp_path / "run"), "--seed", "-1", "--quiet"])
-    assert code == 1
-    assert "seed must be nonnegative" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-    # the master seed only feeds derive_seed; every cell trains with a derived nonnegative seed
-    code = main(["sweep", "--bundle", str(bundle), "--config", str(config),
-                 "--out", str(tmp_path / "sweep"), "--seed", "-1", "--quiet"])
-    assert code == 0
-    assert [r.seed for r in load_sweep(tmp_path / "sweep" / "sweep.csv")] == \
-        [derive_seed(-1, "epsilon", 0, 0)]
+    clean = write_config(tmp_path, {"epochs": 2}, name="clean.json")
+    assert main(["generate", "--config", str(clean), "--out", str(bundle), "--quiet"]) == 0
+    # a sweep's master seed obeys the kind of the seed it is, though it only feeds derive_seed
+    config = write_config(tmp_path, {"epochs": 2, "epsilon_values": [0.1], "seed": -1})
+    for argv in (["generate"], ["train", "--bundle", str(bundle)],
+                 ["evaluate", "--bundle", str(bundle), "--learned", str(tmp_path / "run")],
+                 ["sweep", "--bundle", str(bundle)]):
+        out = tmp_path / f"{argv[0]}-out"
+        assert main([*argv, "--config", str(config), "--out", str(out), "--quiet"]) == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_alpha_warning_goes_to_stderr_under_quiet(tmp_path, capsys):
@@ -760,9 +779,12 @@ def test_generate_onto_an_existing_file_is_a_runtime_error(tmp_path, capsys):
     ("sweep", {"gauss_rho_values": [0.0, 1.5]},
      "each entry of gauss_rho_values must lie in [0, 1]"),
     ("train", {"swap_rho_values": [2.0]}, "each entry of swap_rho_values must lie in [0, 1]"),
+    ("sweep", {"seed": -1, "epsilon_values": [0.1]}, "seed must be nonnegative"),
+    ("evaluate", {"seed": -1}, "seed must be nonnegative"),
 ], ids=["train-sinkhorn-iters", "evaluate-sinkhorn-iters", "train-swap-rho", "train-gauss-rho",
         "sweep-swap-rho", "generate-learning-rate", "train-repeats", "train-d", "sweep-m",
-        "sweep-epsilon-values", "sweep-gauss-rho-values", "train-swap-rho-values"])
+        "sweep-epsilon-values", "sweep-gauss-rho-values", "train-swap-rho-values", "sweep-seed",
+        "evaluate-seed"])
 def test_config_is_checked_before_any_file_is_read(tmp_path, capsys, command, setting, message):
     # the bundle and the learned directory do not exist: the config error comes first,
     # and every command checks every key, not only the keys it uses; a grid entry
@@ -808,7 +830,7 @@ def test_gauss_noised_run_is_scored_with_its_noised_users(tmp_path):
     items = read_matrix_csv(run_dir / "items_learned.csv", (3, 2))
     params = AffinityParams(alpha=dataset.alpha, epsilon=SMALL_CONFIG["epsilon"])
     report = json.loads((eval_dir / "eval.json").read_text())
-    assert report == asdict(evaluate(dataset, items, params, users_eval=users))
+    assert report == asdict(evaluate(replace(dataset, users=users), items, params))
     assert report != asdict(evaluate(dataset, items, params))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ def test_evaluate_with_substitute_users():
     ds = generate_dataset(GenConfig(n=40, m=2, d=2, k=2, seed=4))
     params = AffinityParams(alpha=ds.alpha, epsilon=0.1)
     base = evaluate(ds, ds.items_truth, params)
-    other = evaluate(ds, ds.items_truth, params, users_eval=np.flipud(ds.users.copy()))
+    other = evaluate(replace(ds, users=np.flipud(ds.users)), ds.items_truth, params)
     assert base.f1_micro >= other.f1_micro  # scrambled users can only hurt
 
 
@@ -122,18 +124,28 @@ def test_evaluate_rejects_malformed_learned_arrays():
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         evaluate(ds, bad, params)
-    with pytest.raises(ValueError, match="users_eval shape"):
-        evaluate(ds, ds.items_truth, params, users_eval=ds.users[:, :1])
 
 
 def test_evaluate_rejects_items_whose_affinity_overflows():
     # finite items at 1.5e308 overflow the affinity, so the solve's coupling holds
     # NaN; evaluate checks its plan before the LAP kernel, which checks nothing and
-    # whose excess drain would spin on NaN scores
+    # whose excess drain would spin on NaN scores. Some affinities stay finite,
+    # up to 1.2e308: at epsilon 0.2 they overflow M / epsilon, which the solve
+    # rejects first, naming epsilon; at epsilon 2 they do not
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
-    params = AffinityParams(alpha=ds.alpha, epsilon=0.2)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="contains non-finite"):
-        evaluate(ds, np.full((3, 2), 1.5e308), params)
+    items = np.full((3, 2), 1.5e308)
+    for epsilon, error in ((0.2, "overflows at epsilon=0.2"), (2.0, "contains non-finite")):
+        params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=error):
+            evaluate(ds, items, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_at_too_small_an_epsilon_names_it():
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
+    params = AffinityParams(alpha=ds.alpha, epsilon=5e-324)
+    with pytest.raises(ValueError, match=r"^affinity / epsilon overflows at epsilon=5e-324$"):
+        evaluate(ds, ds.items_truth, params)
 
 
 def test_evaluate_is_deterministic():

@@ -275,6 +275,13 @@ def test_diverging_run_fails_loudly():
         train(ds, TrainConfig(seed=0, epochs=5, learning_rate=1.7e308))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_too_small_an_epsilon_fails_at_epoch_0_naming_it():
+    # the smallest positive epsilon passes its kind, but M / epsilon overflows
+    with pytest.raises(ValueError, match=r"^affinity / epsilon overflows at epsilon=5e-324$"):
+        train(_toy_dataset(n=30), TrainConfig(seed=0, epochs=2, epsilon=5e-324))
+
+
 @pytest.mark.parametrize("extra_spots", [0, 2], ids=["tight", "slack"])
 @pytest.mark.parametrize("joint", [False, True], ids=["items", "joint"])
 @pytest.mark.parametrize("epsilon", [0.001, 0.1, 2.0])
@@ -533,5 +540,6 @@ def test_the_traced_bindings_are_the_ones_that_run(monkeypatch, joint, eval_ever
         expected[(simca.training, attr)] = scored
     assert counts == expected
     counts.clear()
-    evaluate(ds, result.items, AffinityParams(0.3, 0.1), users_eval=result.users)
+    scored = ds if result.users is None else dataclasses.replace(ds, users=result.users)
+    evaluate(scored, result.items, AffinityParams(0.3, 0.1))
     assert counts == {(module, attr): 1 for module, attr in watched if module is simca.metrics}
