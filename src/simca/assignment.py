@@ -69,9 +69,9 @@ def round_coupling(coupling, caps) -> np.ndarray:
     ``caps`` an int64 vector of m nonnegative capacities that hold the n
     users, as ``check_capacities`` returns it. NaN entries would keep the
     excess drain from ending. The callers guarantee this: ``solve_lap``
-    checks both; ``evaluate`` passes its plan through ``as_matrix``; a
-    training epoch rounds only after its loss came out finite, which needs a
-    finite plan, and its capacities come from a checked ``Dataset``.
+    checks both; ``evaluate`` and a training epoch round the plan of a
+    transport solve, whose range guard leaves it finite, with the capacities
+    of a checked ``Dataset``.
     """
     assign = np.argmax(coupling, axis=1)
     counts = np.bincount(assign, minlength=len(caps))

@@ -65,7 +65,10 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
     stalled, is reported, not raised: ``converged`` is False.
     ``cross_entropy`` comes from the solve's log-domain potentials. This is
     the entry check for the learned items: ``items_hat`` must be a finite
-    (m, d) matrix. To score other users, learned ones or another cohort, pass
+    (m, d) matrix. Finite items can still overflow the affinity, or M /
+    epsilon; the transport kernel's range guard then raises a ``ValueError``
+    naming epsilon, so the plan that reaches the LAP kernel is finite. To
+    score other users, learned ones or another cohort, pass
     ``dataclasses.replace(dataset, users=U)``, whose users ``Dataset`` checks
     like any others.
     """
@@ -73,9 +76,7 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
     affinity = compute_affinity(dataset.users, items_hat, dataset.distances, params.alpha)
     inst = extend_with_slack(affinity, dataset.capacities, params.epsilon)
     result = solve_ot(inst, tol=EVAL_TOL)
-    # the LAP kernel trusts its plan: finite items can still overflow the affinity
-    coupling = as_matrix(result.user_coupling, "coupling")
-    predicted = round_coupling(coupling, dataset.capacities)
+    predicted = round_coupling(result.user_coupling, dataset.capacities)
     micro, macro, per_item = f1_scores(dataset.matching, predicted, dataset.n_items)
     dist = None
     if dataset.items_truth is not None:

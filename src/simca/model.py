@@ -162,7 +162,9 @@ class Dataset:
     """An observed allocation problem: inputs plus the optimal hard matching.
 
     ``items_truth`` holds the generating item embeddings when known (synthetic
-    data); real observations carry None.
+    data); real observations carry None. The users are checked against the
+    other arrays, so ``dataclasses.replace(dataset, users=U)`` with a ``U``
+    of the wrong shape names the users.
     """
 
     users: np.ndarray
@@ -173,10 +175,12 @@ class Dataset:
     items_truth: np.ndarray | None = None
 
     def __post_init__(self):
-        users = as_matrix(self.users, "users")
-        n, d = users.shape
-        distances = as_matrix(self.distances, "distances", (n, None))
-        m = distances.shape[1]
+        distances = as_matrix(self.distances, "distances")
+        n, m = distances.shape
+        truth = self.items_truth
+        if truth is not None:
+            truth = as_matrix(truth, "items_truth", (m, None))
+        users = as_matrix(self.users, "users", (n, None if truth is None else truth.shape[1]))
         if np.any(distances < 0):
             raise ValueError("distances must be nonnegative")
         caps = check_capacities(self.capacities, n, m)
@@ -188,9 +192,7 @@ class Dataset:
         object.__setattr__(self, "distances", distances)
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "matching", matching)
-        if self.items_truth is not None:
-            truth = as_matrix(self.items_truth, "items_truth", (m, d))
-            object.__setattr__(self, "items_truth", truth)
+        object.__setattr__(self, "items_truth", truth)
 
     @property
     def n_users(self) -> int:

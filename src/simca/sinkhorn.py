@@ -141,13 +141,20 @@ class _LogKernel:
     """The row and column log-sum-exps over ``M / epsilon``, items-major.
 
     ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) copy made once
-    per solve; a divide that overflows, as at too small an epsilon, is a
-    ``ValueError`` naming epsilon. ``buf`` is one scratch buffer of that
-    shape. Every step of a log-sum-exp (the add, the max, the subtract, the
-    ``exp`` and the sums) runs on ``buf``, where each reduction runs along the
-    long, contiguous axis. Elementwise steps and maxima give the same bits in
-    any layout. The sums add in the order of ``sum`` on the plain loop's
-    C-ordered (n+1, m) layout, so every output bit stays the same:
+    per solve. Its construction is the one range guard of every solve: unless
+    ``max |M| < 2**53 * epsilon`` it raises a ``ValueError`` naming epsilon.
+    From 2**53 on, M / epsilon has no unit left in float64, and a solve
+    overflows further on, in the exponents or the Newton objective; the same
+    comparison rejects an affinity that already holds inf or NaN. Below the
+    bound both solves return finite potentials and a finite coupling, so
+    their callers check neither.
+
+    ``buf`` is one scratch buffer of ``log_kt``'s shape. Every step of a
+    log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
+    runs on ``buf``, where each reduction runs along the long, contiguous
+    axis. Elementwise steps and maxima give the same bits in any layout. The
+    sums add in the order of ``sum`` on the plain loop's C-ordered (n+1, m)
+    layout, so every output bit stays the same:
 
     - per user, over the items (``row_lse``, the coupling's row sums):
       numpy's pairwise order for a contiguous run of m values
@@ -163,11 +170,10 @@ class _LogKernel:
 
     def __init__(self, inst: OtInstance):
         self.inst = inst
-        try:
-            with np.errstate(over="raise"):
-                self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
-        except FloatingPointError:
-            raise ValueError(f"affinity / epsilon overflows at epsilon={inst.epsilon!r}") from None
+        # from 2**53 on float64 has no unit left; "not <" also fails a NaN affinity
+        if not np.abs(inst.affinity).max() < 2.0**53 * inst.epsilon:
+            raise ValueError(f"affinity / epsilon overflows at epsilon={inst.epsilon!r}")
+        self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
         self.buf = np.empty_like(self.log_kt)
 
     def row_lse(self, log_b) -> np.ndarray:

@@ -133,7 +133,11 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
     solve's column potentials, which warm-start the next epoch. Only every
     ``config.eval_every``-th epoch and the final one are scored: the others
     skip the LAP rounding, F1 and embedding distance, which never feed the
-    update, and record NaN for them.
+    update, and record NaN for them. The solve's range guard is the epoch's
+    one check: it rejects an epsilon too small for the affinity, and
+    embeddings that blew up; its error is re-raised as ``training diverged
+    at epoch N: ...``. Past it, the plan, the loss and the potentials are
+    finite.
     """
     items = params[0]
     users = params[1] if config.joint_users else dataset.users
@@ -145,12 +149,13 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
     # converged coupling and the closed-form gradient stays unbiased. With
     # cold restarts the truncated coupling is systematically off and the
     # optimizer drifts along weakly identified directions.
-    result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b)
+    try:
+        result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b)
+    except ValueError as exc:
+        raise ValueError(f"training diverged at epoch {epoch}: {exc}") from None
     pi = result.user_coupling
 
     loss = matched_cross_entropy(inst, result, sigma)
-    if not math.isfinite(loss):
-        raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
     grads = [loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)]
     if config.joint_users:
         grads.append(loss_gradient_users(items, sigma, pi, config.alpha, config.epsilon))
@@ -172,9 +177,12 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     F1 from rounding the current coupling, distance to ground-truth item
     embeddings when available, gradient norm), before that epoch's update.
     F1 and distance are scored every ``config.eval_every`` epochs and on the
-    final one, and are NaN on the others; the loss, its finite check and the
-    update run on every epoch, so the learned embeddings do not depend on
-    ``eval_every``. Deterministic given the config seed.
+    final one, and are NaN on the others; the solve, the loss and the update
+    run on every epoch, so the learned embeddings do not depend on
+    ``eval_every``. Deterministic given the config seed. A run whose
+    embeddings stop being finite fails as ``training diverged at epoch N``,
+    at the first epoch that sees them or, after the last update, with N the
+    epoch count.
     """
     rng = np.random.default_rng(config.seed)
     params = [init_embeddings(rng, dataset.n_items, dataset.dim)]
@@ -189,5 +197,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         history.append(record)
         for k, grad in enumerate(grads):
             params[k], states[k] = adam_step(params[k], grad, states[k], config.learning_rate)
-
+    # an epoch's solve rejects non-finite embeddings, but no epoch follows the last update
+    if not all(np.isfinite(param).all() for param in params):
+        raise ValueError(f"training diverged at epoch {config.epochs}: non-finite embeddings")
     return TrainResult(params[0], params[1] if config.joint_users else None, history)

@@ -494,7 +494,8 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     errors = [r for r in rows if r.error]
     assert len(errors) == 1
     assert errors[0].grid_value == 5e-324
-    assert errors[0].error == "ValueError: affinity / epsilon overflows at epsilon=5e-324"
+    assert errors[0].error == ("ValueError: training diverged at epoch 0: "
+                               "affinity / epsilon overflows at epsilon=5e-324")
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -115,6 +115,17 @@ def test_evaluate_with_substitute_users():
     assert base.f1_micro >= other.f1_micro  # scrambled users can only hurt
 
 
+@pytest.mark.parametrize("rows, cols", [(slice(1, None), slice(None)), (slice(None), slice(1, None))],
+                         ids=["one-user-short", "one-dimension-short"])
+def test_replaced_users_of_the_wrong_shape_are_named(rows, cols):
+    # replacing the users is how a caller scores another cohort, so a mismatch
+    # with the distances or the true items names the users, not the other array
+    ds = generate_dataset(GenConfig(n=40, m=3, d=2, k=3, seed=4))
+    users = ds.users[rows, cols]
+    with pytest.raises(ValueError, match=rf"^users shape \({users.shape[0]}, {users.shape[1]}\)"):
+        replace(ds, users=users)
+
+
 def test_evaluate_rejects_malformed_learned_arrays():
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
     params = AffinityParams(alpha=ds.alpha, epsilon=0.2)
@@ -127,24 +138,27 @@ def test_evaluate_rejects_malformed_learned_arrays():
 
 
 def test_evaluate_rejects_items_whose_affinity_overflows():
-    # finite items at 1.5e308 overflow the affinity, so the solve's coupling holds
-    # NaN; evaluate checks its plan before the LAP kernel, which checks nothing and
-    # whose excess drain would spin on NaN scores. Some affinities stay finite,
-    # up to 1.2e308: at epsilon 0.2 they overflow M / epsilon, which the solve
-    # rejects first, naming epsilon; at epsilon 2 they do not
+    # finite items at 1.5e308 overflow the affinity to inf and NaN; the LAP
+    # kernel checks nothing, and its excess drain would spin on NaN scores. The
+    # transport kernel's range guard rejects such an affinity at any epsilon,
+    # naming it, before a plan is built
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
     items = np.full((3, 2), 1.5e308)
-    for epsilon, error in ((0.2, "overflows at epsilon=0.2"), (2.0, "contains non-finite")):
+    for epsilon, error in ((0.2, "overflows at epsilon=0.2"), (2.0, "overflows at epsilon=2.0")):
         params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=error):
             evaluate(ds, items, params)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_evaluate_at_too_small_an_epsilon_names_it():
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-308, 1e-307, 1e-305, 1e-300])
+def test_evaluate_at_too_small_an_epsilon_names_it(epsilon):
+    # each passes its kind, but max |M| / epsilon reaches 2**53: M / epsilon
+    # overflows at the smallest, and past the others the Newton solve overflows
+    # or stalls
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
-    params = AffinityParams(alpha=ds.alpha, epsilon=5e-324)
-    with pytest.raises(ValueError, match=r"^affinity / epsilon overflows at epsilon=5e-324$"):
+    params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
+    with pytest.raises(ValueError, match=rf"^affinity / epsilon overflows at epsilon={epsilon!r}$"):
         evaluate(ds, ds.items_truth, params)
 
 

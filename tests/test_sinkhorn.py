@@ -1,8 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simca.sinkhorn
@@ -337,6 +338,29 @@ def test_reference_loop_edge_stops(monkeypatch):
     exact = solve_ot(inst, tol=0.0)
     assert not exact.converged and 0 < exact.marginal_error < 1e-12
     assert exact.iterations < 60 and len(trials) < 400
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases(), st.integers(-280, 280), st.sampled_from([1.0, 0.5, 2.0**-60, 0.0]))
+def test_range_guard_on_max_affinity_over_epsilon(case, exponent, shrink):
+    # at or past max |M| / epsilon = 2**53 both modes raise, naming epsilon; just
+    # below it both return finite plans and potentials, warnings failing the test
+    inst, log_b_init = case
+    affinity = inst.affinity * 10.0**exponent
+    peak = np.abs(affinity).max()
+    assume(peak > 0)
+    at_bound = peak / 2**53
+    epsilon = float(at_bound * shrink if shrink else np.nextafter(at_bound, np.inf))
+    assume(epsilon > 0)
+    inst = dataclasses.replace(inst, affinity=affinity, epsilon=epsilon)
+    message = f"^affinity / epsilon overflows at epsilon={re.escape(repr(epsilon))}$"
+    for mode in ({"iterations": 3}, {"tol": 1e-10}):
+        if shrink:
+            with pytest.raises(ValueError, match=message):
+                solve_ot(inst, log_b_init=log_b_init, **mode)
+        else:
+            result = solve_ot(inst, log_b_init=log_b_init, **mode)
+            assert np.isfinite(result.coupling).all() and np.isfinite(result.log_b).all()
 
 
 @pytest.mark.parametrize("epsilon", [100.0, 1e4])

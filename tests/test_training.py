@@ -275,11 +275,25 @@ def test_diverging_run_fails_loudly():
         train(ds, TrainConfig(seed=0, epochs=5, learning_rate=1.7e308))
 
 
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_a_blow_up_fails_the_run_whichever_update_is_the_last(epochs):
+    # the update of epoch 0 leaves non-finite items: epoch 1's solve rejects
+    # them, and when no epoch 1 follows, the run still fails, naming epoch 1
+    ds = generate_dataset(GenConfig(n=40, m=3, d=2, k=3, seed=4))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^training diverged at epoch 1: "):
+        train(ds, TrainConfig(seed=0, epochs=epochs, learning_rate=1.7e308))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_too_small_an_epsilon_fails_at_epoch_0_naming_it():
-    # the smallest positive epsilon passes its kind, but M / epsilon overflows
-    with pytest.raises(ValueError, match=r"^affinity / epsilon overflows at epsilon=5e-324$"):
-        train(_toy_dataset(n=30), TrainConfig(seed=0, epochs=2, epsilon=5e-324))
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-308, 1e-307, 1e-305, 1e-300])
+def test_too_small_an_epsilon_fails_at_epoch_0_naming_it(epsilon):
+    # each passes its kind, but max |M| / epsilon reaches 2**53: M / epsilon
+    # overflows at the smallest, and past the others the loss or its gradient
+    # overflows
+    with pytest.raises(ValueError, match=rf"^training diverged at epoch 0: affinity / epsilon "
+                                         rf"overflows at epsilon={epsilon!r}$"):
+        train(_toy_dataset(n=30), TrainConfig(seed=0, epochs=2, epsilon=epsilon))
 
 
 @pytest.mark.parametrize("extra_spots", [0, 2], ids=["tight", "slack"])
@@ -288,7 +302,7 @@ def test_too_small_an_epsilon_fails_at_epoch_0_naming_it():
 def test_every_rounded_plan_is_finite_or_the_run_diverged(monkeypatch, epsilon, joint,
                                                           extra_spots):
     # the LAP kernel checks nothing, and NaN scores would spin its excess drain:
-    # an epoch rounds only after its loss came out finite, which needs a finite plan
+    # an epoch rounds only a plan that passed the solve's range guard
     finite = []
 
     def recording_round(pi, caps):
