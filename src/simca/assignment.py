@@ -22,7 +22,10 @@ calls the kernel and scores its matching. ``round_coupling`` is the kernel,
 which training and evaluation call on every plan they round; it checks
 nothing and requires a finite float64 (n, m) matrix and an int64 vector of
 m nonnegative capacities that hold the n users. NaN scores would keep its
-excess drain from ending.
+excess drain from ending. ``sorted_prices`` takes the same inputs and runs
+only the row argmax and the sort: the item prices of the exact assignment
+when the sort settles every excess, which start the transport solve at
+small epsilon.
 """
 from __future__ import annotations
 
@@ -71,15 +74,52 @@ def round_coupling(coupling, caps) -> np.ndarray:
     excess drain from ending. The callers guarantee this: ``solve_lap``
     checks both; ``evaluate`` and a training epoch round the plan of a
     transport solve, whose range guard leaves it finite, with the capacities
-    of a checked ``Dataset``.
+    of a checked ``Dataset``. The row argmax and the sorted phase run in
+    ``_sorted_phase``, which ``sorted_prices`` shares; the rounds of
+    ``_drain_excess`` move what excess that phase leaves.
     """
-    assign = np.argmax(coupling, axis=1)
-    counts = np.bincount(assign, minlength=len(caps))
+    assign, counts, prices = _sorted_phase(coupling, caps)
     if np.any(counts > caps):
-        prices = _sort_excess(coupling, caps, assign, counts)
-        if np.any(counts > caps):
-            assign = _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
+        assign = _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
     return assign
+
+
+def sorted_prices(M, caps) -> np.ndarray | None:
+    """Item prices of the exact assignment of ``M``'s rows when the sorted
+    phase alone settles the row argmax, else None.
+
+    Takes the inputs ``round_coupling`` takes and never runs the rounds of
+    ``_drain_excess``: O(n*m + n*log n). When the row argmax fits the
+    capacities every price is zero. Otherwise the phase settles only by
+    emptying the excess of its one source s, every other item keeping price
+    0. Then every price of s from the last key the sort moved up to the
+    least key of the users s keeps is a dual optimum: each user sits on an
+    item maximizing M[u, j] - prices[j], and only the full item s has a
+    positive price. This one lies midway, up to rounding: there
+    ``epsilon * -log_b[s]`` of the entropic plan tends as epsilon -> 0 when
+    one moved and one kept user share the margin, each leaking as much mass
+    across it as the other. The transport solve starts from it at small
+    epsilon; from the moved key itself, which leaves that user split in
+    half, small instances took more Newton steps than from zero.
+    """
+    assign, counts, prices = _sorted_phase(M, caps)
+    if np.any(counts > caps):
+        return None
+    s = np.argmax(prices)
+    kept = M[assign == s]
+    if prices[s] > 0 and len(kept):  # a source of capacity 0 keeps no one: no upper end
+        prices[s] = (prices[s] + np.min(kept[:, s] - np.delete(kept, s, axis=1).max(axis=1))) / 2
+    return np.array(prices)
+
+
+def _sorted_phase(M, caps) -> tuple[np.ndarray, np.ndarray, list]:
+    """The row argmax, its item counts and its item prices after
+    ``_sort_excess`` moved what excess it can; zero prices when the argmax
+    fits the capacities."""
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=len(caps))
+    prices = _sort_excess(M, caps, assign, counts) if np.any(counts > caps) else [0.0] * len(caps)
+    return assign, counts, prices
 
 
 def _sort_excess(M, caps, assign, counts) -> list:

@@ -61,13 +61,17 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
     Recomputes the affinity matrix with the dataset's users, solves the
     regularized transport problem to ``EVAL_TOL``, rounds the coupling to a
     hard matching via the LAP, and compares it to the dataset's observed
-    matching. A solve that stops short of ``EVAL_TOL``, at its step cap or
-    stalled, is reported, not raised: ``converged`` is False.
-    ``cross_entropy`` comes from the solve's log-domain potentials. This is
-    the entry check for the learned items: ``items_hat`` must be a finite
-    (m, d) matrix. Finite items can still overflow the affinity, or M /
-    epsilon; the transport kernel's range guard then raises a ``ValueError``
-    naming epsilon, so the plan that reaches the LAP kernel is finite. To
+    matching. The solve starts from zero, or, at epsilon below
+    ``simca.sinkhorn.PRICE_START_BELOW``, from the prices of the LAP's
+    sorted phase when that settles (see ``solve_ot``), which cut its Newton
+    steps at epsilon = 0.002 on the reference instance from 10-16 to 5-6. A
+    solve that stops short of ``EVAL_TOL``, at its step cap or stalled, is
+    reported, not raised: ``converged`` is False. ``cross_entropy`` comes
+    from the solve's log-domain potentials. This is the entry check for the
+    learned items: ``items_hat`` must be a finite (m, d) matrix. Finite items
+    can still overflow the affinity, or M / epsilon; the transport kernel's
+    range guard then raises a ``ValueError`` naming epsilon, or an affinity
+    that is not finite, so the plan that reaches the LAP kernel is finite. To
     score other users, learned ones or another cohort, pass
     ``dataclasses.replace(dataset, users=U)``, whose users ``Dataset`` checks
     like any others.

@@ -135,9 +135,9 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
     skip the LAP rounding, F1 and embedding distance, which never feed the
     update, and record NaN for them. The solve's range guard is the epoch's
     one check: it rejects an epsilon too small for the affinity, and
-    embeddings that blew up; its error is re-raised as ``training diverged
-    at epoch N: ...``. Past it, the plan, the loss and the potentials are
-    finite.
+    embeddings that blew up, whose affinity it names as not finite; its
+    error is re-raised as ``training diverged at epoch N: ...``. Past it, the
+    plan, the loss and the potentials are finite.
     """
     items = params[0]
     users = params[1] if config.joint_users else dataset.users

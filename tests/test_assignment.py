@@ -14,6 +14,7 @@ from simca.assignment import (
     count_feasible_matchings,
     round_coupling,
     solve_lap,
+    sorted_prices,
 )
 from simca.datagen import GenConfig, generate_dataset
 from simca.model import compute_affinity
@@ -464,6 +465,37 @@ def test_sorted_drain_matches_the_rounds_and_slot_expanded_oracle(instance):
 @given(favoured_instances(several=True))
 def test_sorted_drain_over_several_items_matches_the_rounds_and_slot_expanded_oracle(instance):
     _sorted_drain_matches_the_rounds(*instance, several=True)
+
+
+@st.composite
+def random_instances(draw):
+    """Random scores and capacities that hold the users, with or without
+    slack: an argmax that fits, or one or more items over capacity."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    caps = rng.multinomial(n + draw(st.integers(0, 3)), np.full(m, 1.0 / m))
+    return rng.normal(size=(n, m)), caps, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(favoured_instances(), favoured_instances(several=True),
+                 random_instances()))
+def test_sorted_prices_are_none_or_a_dual_optimum_of_the_exact_matching(instance):
+    # a price set is a dual optimum for every optimal matching: each user sits
+    # on an item maximizing M - prices, up to the rounding of the price's
+    # running sum, and a positive price sits only on a full item
+    M, caps, _ = instance
+    prices = sorted_prices(M, caps)
+    if prices is None:
+        return
+    matching = solve_lap(M, caps).matching
+    value = M - prices
+    users = np.arange(len(M))
+    assert np.all(value.max(axis=1) - value[users, matching] <= 1e-12 * (1 + np.abs(M).max()))
+    assert np.all(prices >= 0)
+    full = np.bincount(matching, minlength=len(caps)) == caps
+    assert np.all(full[prices > 0])
 
 
 @st.composite

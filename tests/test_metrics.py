@@ -7,6 +7,7 @@ import simca.sinkhorn
 from simca.datagen import GenConfig, generate_dataset
 from simca.metrics import evaluate, f1_scores, mean_embedding_distance
 from simca.model import AffinityParams, Dataset
+from simca.training import TrainConfig, train
 
 
 def test_perfect_prediction():
@@ -140,13 +141,13 @@ def test_evaluate_rejects_malformed_learned_arrays():
 def test_evaluate_rejects_items_whose_affinity_overflows():
     # finite items at 1.5e308 overflow the affinity to inf and NaN; the LAP
     # kernel checks nothing, and its excess drain would spin on NaN scores. The
-    # transport kernel's range guard rejects such an affinity at any epsilon,
-    # naming it, before a plan is built
+    # transport kernel's range guard rejects such an affinity at any epsilon
+    # before a plan is built, naming the affinity, not a fine epsilon
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
     items = np.full((3, 2), 1.5e308)
-    for epsilon, error in ((0.2, "overflows at epsilon=0.2"), (2.0, "overflows at epsilon=2.0")):
+    for epsilon in (0.2, 2.0):
         params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=error):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^affinity is not finite$"):
             evaluate(ds, items, params)
 
 
@@ -160,6 +161,22 @@ def test_evaluate_at_too_small_an_epsilon_names_it(epsilon):
     params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
     with pytest.raises(ValueError, match=rf"^affinity / epsilon overflows at epsilon={epsilon!r}$"):
         evaluate(ds, ds.items_truth, params)
+
+
+def test_evaluate_at_a_small_epsilon_starts_from_the_sorted_prices(monkeypatch):
+    # the reference instance with the items of a 400-epoch train: at epsilon
+    # = 0.002 the solve took 16 Newton steps from zero, and 10 from the price
+    # of the last user the sorted phase moved; from midway to the next user's
+    # key it takes 5, and rounds to the same matching
+    ds = generate_dataset(GenConfig(n=300, m=3, d=2, k=3, alpha=0.3, seed=7))
+    items = train(ds, TrainConfig(seed=0, epochs=400)).items
+    params = AffinityParams(alpha=ds.alpha, epsilon=0.002)
+    start = evaluate(ds, items, params)
+    monkeypatch.setattr(simca.sinkhorn, "PRICE_START_BELOW", 0.0)
+    cold = evaluate(ds, items, params)
+    assert start.converged and cold.converged
+    assert start.sinkhorn_iterations <= 8 < cold.sinkhorn_iterations
+    assert start.f1_micro == cold.f1_micro and start.per_item_f1 == cold.per_item_f1
 
 
 def test_evaluate_is_deterministic():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import simca.sinkhorn
 from helpers import projected_gradient_ot, reference_solve_ot
+from simca.assignment import sorted_prices
 from simca.datagen import GenConfig, generate_dataset
 from simca.model import compute_affinity
-from simca.sinkhorn import entropy, extend_with_slack, ot_value, solve_ot
+from simca.sinkhorn import PRICE_START_BELOW, entropy, extend_with_slack, ot_value, solve_ot
 
 
 def test_extend_without_surplus_is_identity():
@@ -374,3 +375,68 @@ def test_newton_steps_do_not_grow_with_large_epsilon(epsilon):
     fast = solve_ot(inst, tol=1e-10)
     assert fast.converged and fast.iterations <= 20
     _assert_agrees(fast, reference_solve_ot(inst, tol=1e-10), inst, 1e-10)
+
+
+def _sorted_prices_of(inst):
+    n = inst.n_users
+    return sorted_prices(inst.affinity[:n], inst.col_masses.astype(np.int64))
+
+
+@st.composite
+def favoured_cases(draw):
+    """Instances whose row argmax puts item 0 over capacity while the other
+    items' room, and any slack, take its excess: the sorted phase mostly
+    settles, with a positive price on item 0."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    affinity = draw(st.sampled_from([0.3, 1.0, 4.0])) * rng.normal(size=(n, m))
+    affinity[:, 0] += draw(st.floats(0.5, 3.0))
+    caps = np.bincount(affinity.argmax(axis=1), minlength=m)
+    assume(caps[0] > 1)
+    excess = draw(st.integers(1, caps[0] - 1))
+    caps[0] -= excess
+    caps[1:] += rng.multinomial(excess + draw(st.integers(0, 3)), np.full(m - 1, 1.0 / (m - 1)))
+    caps[caps == 0] = 1  # a capacity of zero has no transport plan
+    return extend_with_slack(affinity, caps, 1.0), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(oracle_cases(), favoured_cases()),
+       st.sampled_from([1e-4, 1e-3, 0.002, 0.004, PRICE_START_BELOW, 0.01]))
+def test_tolerance_solve_starts_from_sorted_prices_only_below_the_threshold(case, epsilon):
+    # at or above PRICE_START_BELOW, or where the sorted phase leaves an item
+    # over capacity, the default start is the zero start, bit for bit; below
+    # it, the start from the prices converges to the loop's coupling
+    inst = dataclasses.replace(case[0], epsilon=epsilon)
+    start = solve_ot(inst, tol=1e-10)
+    if epsilon >= PRICE_START_BELOW or _sorted_prices_of(inst) is None:
+        zero = np.zeros(inst.affinity.shape[1])
+        _assert_same_bits(start, solve_ot(inst, tol=1e-10, log_b_init=zero))
+    else:
+        assert start.converged
+        slow = reference_solve_ot(inst, tol=1e-10, max_iterations=1_000)
+        _assert_agrees(start, slow, inst, 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e12])
+def test_price_start_at_the_range_guard(scale):
+    # log_b starts at -prices / epsilon: up to about 2**54 with epsilon just
+    # above max |M| / 2**53, where the solve stays finite; at or below that
+    # bound the guard raises first, before a division that could overflow
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(30, 3))
+    M[:, 0] += 2.0
+    caps = np.array([10, 20, 20])  # room for item 0's excess on either other item
+    affinity = scale * M
+    bound = float(np.abs(affinity).max() / 2**53)
+    inst = extend_with_slack(affinity, caps, float(np.nextafter(bound, np.inf)))
+    assert inst.epsilon < PRICE_START_BELOW and _sorted_prices_of(inst).max() > 0
+    result = solve_ot(inst, tol=1e-10)
+    for potential in (result.coupling, result.log_a, result.log_b):
+        assert np.isfinite(potential).all()
+    for epsilon in (bound, 5e-324):
+        message = f"^affinity / epsilon overflows at epsilon={re.escape(repr(epsilon))}$"
+        with pytest.raises(ValueError, match=message):
+            solve_ot(dataclasses.replace(inst, epsilon=epsilon), tol=1e-10)

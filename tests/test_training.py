@@ -278,10 +278,12 @@ def test_diverging_run_fails_loudly():
 @pytest.mark.parametrize("epochs", [1, 2, 3])
 def test_a_blow_up_fails_the_run_whichever_update_is_the_last(epochs):
     # the update of epoch 0 leaves non-finite items: epoch 1's solve rejects
-    # them, and when no epoch 1 follows, the run still fails, naming epoch 1
+    # their affinity, not epsilon, and when no epoch 1 follows, the run still
+    # fails, naming epoch 1 and the embeddings
+    reason = "non-finite embeddings" if epochs == 1 else "affinity is not finite"
     ds = generate_dataset(GenConfig(n=40, m=3, d=2, k=3, seed=4))
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="^training diverged at epoch 1: "):
+            pytest.raises(ValueError, match=f"^training diverged at epoch 1: {reason}$"):
         train(ds, TrainConfig(seed=0, epochs=epochs, learning_rate=1.7e308))
 
 
