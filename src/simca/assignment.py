@@ -24,8 +24,8 @@ nothing and requires a finite float64 (n, m) matrix and an int64 vector of
 m nonnegative capacities that hold the n users. NaN scores would keep its
 excess drain from ending. ``sorted_prices`` takes the same inputs and runs
 only the row argmax and the sort: the item prices of the exact assignment
-when the sort settles every excess, which start the transport solve at
-small epsilon.
+when the sort settles every excess, from which ``evaluate`` starts its
+transport solve at small epsilon.
 """
 from __future__ import annotations
 
@@ -73,10 +73,10 @@ def round_coupling(coupling, caps) -> np.ndarray:
     users, as ``check_capacities`` returns it. NaN entries would keep the
     excess drain from ending. The callers guarantee this: ``solve_lap``
     checks both; ``evaluate`` and a training epoch round the plan of a
-    transport solve, whose range guard leaves it finite, with the capacities
-    of a checked ``Dataset``. The row argmax and the sorted phase run in
-    ``_sorted_phase``, which ``sorted_prices`` shares; the rounds of
-    ``_drain_excess`` move what excess that phase leaves.
+    transport solve, which the instance's range guard leaves finite, with
+    the capacities of a checked ``Dataset``. The row argmax and the sorted
+    phase run in ``_sorted_phase``, which ``sorted_prices`` shares; the
+    rounds of ``_drain_excess`` move what excess that phase leaves.
     """
     assign, counts, prices = _sorted_phase(coupling, caps)
     if np.any(counts > caps):
@@ -98,9 +98,9 @@ def sorted_prices(M, caps) -> np.ndarray | None:
     positive price. This one lies midway, up to rounding: there
     ``epsilon * -log_b[s]`` of the entropic plan tends as epsilon -> 0 when
     one moved and one kept user share the margin, each leaking as much mass
-    across it as the other. The transport solve starts from it at small
-    epsilon; from the moved key itself, which leaves that user split in
-    half, small instances took more Newton steps than from zero.
+    across it as the other. ``evaluate`` starts its transport solve from it
+    at small epsilon; from the moved key itself, which leaves that user
+    split in half, small instances took more Newton steps than from zero.
     """
     assign, counts, prices = _sorted_phase(M, caps)
     if np.any(counts > caps):

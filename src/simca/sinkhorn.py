@@ -12,12 +12,9 @@ column scalings), arranged for speed without changing a bit of the plain
 loop's output. Analysis runs to a marginal tolerance with damped Newton
 steps on the semi-dual, a concave function of the m column potentials
 alone, whose m x m Hessian is cheap; it converges quadratically where
-Sinkhorn's rate degrades like 1/epsilon. Below ``PRICE_START_BELOW`` it
-starts, unless given a start, from the item prices of the exact assignment
-that the LAP's sorted phase finds (``simca.assignment.sorted_prices``), as
-``epsilon * log_b`` tends to minus such prices when epsilon -> 0. Everything
-runs on log-sum-exp reductions; the plain multiplicative form overflows for
-small epsilon.
+Sinkhorn's rate degrades like 1/epsilon. Both start from the column
+potential they are given, or from zero. Everything runs on log-sum-exp
+reductions; the plain multiplicative form overflows for small epsilon.
 
 Both methods run on one kernel (``_LogKernel``) that holds M / epsilon
 items-major, as an (m, n+1) array, so that every reduction runs along the
@@ -43,8 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import sorted_prices
-
 
 @dataclass(frozen=True)
 class OtInstance:
@@ -52,6 +47,17 @@ class OtInstance:
 
     ``n_users`` counts the real users; when ``affinity`` has one extra row it
     is the virtual user absorbing the unused capacity.
+
+    Building one runs the range guard of every solve: unless
+    ``max |M| < 2**53 * epsilon`` it raises a ``ValueError`` naming epsilon.
+    From 2**53 on, M / epsilon has no unit left in float64, and a solve
+    overflows further on, in the exponents or the Newton objective. The same
+    comparison rejects an affinity that already holds inf or NaN, which the
+    error then names as not finite, as no epsilon is at fault; only a failed
+    comparison looks at which. Past it, dividing the affinity, or any price
+    of at most about 2 max |M|, by epsilon cannot overflow, and both solves
+    return finite potentials and a finite coupling, so their callers check
+    neither.
     """
 
     affinity: np.ndarray
@@ -60,13 +66,21 @@ class OtInstance:
     epsilon: float
     n_users: int
 
+    def __post_init__(self):
+        # from 2**53 on float64 has no unit left; "not <" also fails a NaN affinity
+        peak = np.abs(self.affinity).max()
+        if not peak < 2.0**53 * self.epsilon:
+            raise ValueError(f"affinity / epsilon overflows at epsilon={self.epsilon!r}"
+                             if np.isfinite(peak) else "affinity is not finite")
+
 
 def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     """Build a balanced instance; appends a zero-affinity virtual user when
     total capacity exceeds the number of users. The capacities are a
     validated integer vector with total at least the number of users. The
     instance's affinity is C-contiguous, the layout whose summation order
-    the transport solve keeps."""
+    the transport solve keeps; building it runs the range guard (see
+    ``OtInstance``)."""
     n, m = affinity.shape
     # Python ints: an int64 sum wraps from 2**63 on
     total = sum(caps.tolist())
@@ -131,17 +145,15 @@ def solve_ot(
       error, returns with ``converged=False`` rather than raising.
 
     ``iterations`` must be at least 1. ``log_b_init`` is the starting column
-    potential. By default it is zero, except in a tolerance solve at epsilon
-    below ``PRICE_START_BELOW`` whose real users' sorted phase settles (see
-    ``_newton``).
+    potential; by default it is zero.
     """
     if (iterations is None) == (tol is None):
         raise ValueError("specify exactly one of iterations or tol")
     if tol is None and iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if tol is not None:
-        return _newton(inst, tol, log_b_init)
     log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
+    if tol is not None:
+        return _newton(inst, tol, log_b)
     return _sinkhorn(inst, iterations, log_b)
 
 
@@ -149,14 +161,7 @@ class _LogKernel:
     """The row and column log-sum-exps over ``M / epsilon``, items-major.
 
     ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) copy made once
-    per solve. Its construction is the one range guard of every solve: unless
-    ``max |M| < 2**53 * epsilon`` it raises a ``ValueError`` naming epsilon.
-    From 2**53 on, M / epsilon has no unit left in float64, and a solve
-    overflows further on, in the exponents or the Newton objective. The same
-    comparison rejects an affinity that already holds inf or NaN, which the
-    error then names as not finite, as no epsilon is at fault; only a failed
-    comparison looks at which. Below the bound both solves return finite
-    potentials and a finite coupling, so their callers check neither.
+    per solve, finite by the instance's range guard (see ``OtInstance``).
 
     ``buf`` is one scratch buffer of ``log_kt``'s shape. Every step of a
     log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
@@ -179,11 +184,6 @@ class _LogKernel:
 
     def __init__(self, inst: OtInstance):
         self.inst = inst
-        # from 2**53 on float64 has no unit left; "not <" also fails a NaN affinity
-        peak = np.abs(inst.affinity).max()
-        if not peak < 2.0**53 * inst.epsilon:
-            raise ValueError(f"affinity / epsilon overflows at epsilon={inst.epsilon!r}"
-                             if np.isfinite(peak) else "affinity is not finite")
         self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
         self.buf = np.empty_like(self.log_kt)
 
@@ -277,8 +277,6 @@ _MAX_HALVINGS = 40
 _VALUE_ROUNDING = 1e-14
 # the Newton steps a tolerance solve takes at most before it returns unconverged
 MAX_NEWTON_STEPS = 10_000
-# below this epsilon a tolerance solve given no start starts from the LAP's sorted-phase prices
-PRICE_START_BELOW = 0.005
 
 
 class _Iterate(NamedTuple):
@@ -316,31 +314,11 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     G's drop is below its own rounding; a step is then taken when it lowers
     the exact marginal error. When no halving is taken either way, the solve
     stops at once, unconverged.
-
-    Given no start, it starts from zero, or, below ``PRICE_START_BELOW``,
-    from ``-prices / epsilon``, where ``sorted_prices`` gives the real users'
-    exact assignment's item prices whenever the LAP's sorted phase settles
-    its row argmax (O(n*m + n*log n), never the LAP's rounds). The solve's
-    dual ``epsilon * log_b`` tends to minus such prices as epsilon -> 0: on
-    the n=300 reference instance, with the items of five trains, the steps
-    at epsilon = 0.002 fell from 10-16 to 5-6. Near epsilon = 0.01 the steps
-    saved cost about what the sort does, so every solve from 0.005 up keeps
-    the zero start, as does one whose sorted phase does not settle, as is
-    usual at m >= 10. It divides by epsilon only past the kernel's range
-    guard, which bounds the prices, at most about 2 max |M|, to 2**54 units
-    of ``log_b``.
     """
     kernel = _LogKernel(inst)
     r, c = inst.row_masses, inst.col_masses
     log_r = np.log(r)
     m = len(c)
-    if log_b is None:
-        n, eps = inst.n_users, inst.epsilon
-        # capacities past n + 1 never fill: clipped, they cast to int64 exactly
-        prices = (sorted_prices(inst.affinity[:n], np.minimum(c, n + 1).astype(np.int64))
-                  if eps < PRICE_START_BELOW else None)
-        # past the range guard, -prices / epsilon cannot overflow
-        log_b = np.zeros(m) if prices is None else -prices / eps
 
     def iterate(log_b) -> _Iterate:
         lse = kernel.row_lse(log_b)

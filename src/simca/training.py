@@ -133,9 +133,9 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
     solve's column potentials, which warm-start the next epoch. Only every
     ``config.eval_every``-th epoch and the final one are scored: the others
     skip the LAP rounding, F1 and embedding distance, which never feed the
-    update, and record NaN for them. The solve's range guard is the epoch's
-    one check: it rejects an epsilon too small for the affinity, and
-    embeddings that blew up, whose affinity it names as not finite; its
+    update, and record NaN for them. The transport instance's range guard is
+    the epoch's one check: it rejects an epsilon too small for the affinity,
+    and embeddings that blew up, whose affinity it names as not finite; its
     error is re-raised as ``training diverged at epoch N: ...``. Past it, the
     plan, the loss and the potentials are finite.
     """
@@ -143,13 +143,13 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
     users = params[1] if config.joint_users else dataset.users
     sigma = dataset.matching
     affinity = compute_affinity(users, items, dataset.distances, config.alpha)
-    inst = extend_with_slack(affinity, dataset.capacities, config.epsilon)
-    # Warm start: the column scalings carry across epochs. The embeddings
-    # move slowly per step, so the fixed iteration budget then tracks the
-    # converged coupling and the closed-form gradient stays unbiased. With
-    # cold restarts the truncated coupling is systematically off and the
-    # optimizer drifts along weakly identified directions.
     try:
+        inst = extend_with_slack(affinity, dataset.capacities, config.epsilon)
+        # Warm start: the column scalings carry across epochs. The embeddings
+        # move slowly per step, so the fixed iteration budget then tracks the
+        # converged coupling and the closed-form gradient stays unbiased. With
+        # cold restarts the truncated coupling is systematically off and the
+        # optimizer drifts along weakly identified directions.
         result = solve_ot(inst, iterations=config.sinkhorn_iters, log_b_init=log_b)
     except ValueError as exc:
         raise ValueError(f"training diverged at epoch {epoch}: {exc}") from None

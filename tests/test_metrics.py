@@ -1,12 +1,17 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import simca.sinkhorn
+import simca.metrics
+from simca.assignment import sorted_prices
 from simca.datagen import GenConfig, generate_dataset
-from simca.metrics import evaluate, f1_scores, mean_embedding_distance
-from simca.model import AffinityParams, Dataset
+from simca.metrics import PRICE_START_BELOW, evaluate, f1_scores, mean_embedding_distance
+from simca.model import AffinityParams, Dataset, compute_affinity
+from simca.sinkhorn import solve_ot
 from simca.training import TrainConfig, train
 
 
@@ -141,7 +146,7 @@ def test_evaluate_rejects_malformed_learned_arrays():
 def test_evaluate_rejects_items_whose_affinity_overflows():
     # finite items at 1.5e308 overflow the affinity to inf and NaN; the LAP
     # kernel checks nothing, and its excess drain would spin on NaN scores. The
-    # transport kernel's range guard rejects such an affinity at any epsilon
+    # transport instance's range guard rejects such an affinity at any epsilon
     # before a plan is built, naming the affinity, not a fine epsilon
     ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
     items = np.full((3, 2), 1.5e308)
@@ -172,11 +177,82 @@ def test_evaluate_at_a_small_epsilon_starts_from_the_sorted_prices(monkeypatch):
     items = train(ds, TrainConfig(seed=0, epochs=400)).items
     params = AffinityParams(alpha=ds.alpha, epsilon=0.002)
     start = evaluate(ds, items, params)
-    monkeypatch.setattr(simca.sinkhorn, "PRICE_START_BELOW", 0.0)
+    monkeypatch.setattr(simca.metrics, "PRICE_START_BELOW", 0.0)
     cold = evaluate(ds, items, params)
     assert start.converged and cold.converged
     assert start.sinkhorn_iterations <= 8 < cold.sinkhorn_iterations
     assert start.f1_micro == cold.f1_micro and start.per_item_f1 == cold.per_item_f1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**16), st.sampled_from([0.03, 0.3]),
+       st.sampled_from([1e-4, 1e-3, 0.002, 0.004, PRICE_START_BELOW, 0.01]))
+def test_evaluate_starts_from_sorted_prices_only_below_the_threshold(m, seed, noise, epsilon):
+    # below PRICE_START_BELOW, where the sorted phase of the learned items'
+    # affinity settles, the report is that of a solve started from
+    # -prices / epsilon, bit for bit; otherwise it is the zero start's. Without
+    # spare capacity the row argmax overfills an item: at m = 2 the sort
+    # settles it with a positive price, at m >= 3 it leaves excess here
+    ds = generate_dataset(GenConfig(n=40, m=m, k=2, extra_spots_per_item=0, seed=seed))
+    items = ds.items_truth + noise * np.random.default_rng(seed).normal(size=ds.items_truth.shape)
+    params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
+    prices = sorted_prices(compute_affinity(ds.users, items, ds.distances, ds.alpha),
+                           ds.capacities)
+    start = -prices / epsilon if epsilon < PRICE_START_BELOW and prices is not None else np.zeros(m)
+    with pytest.MonkeyPatch.context() as forced:
+        forced.setattr(simca.metrics, "solve_ot",
+                       lambda inst, tol, log_b_init: solve_ot(inst, tol=tol, log_b_init=start))
+        expected = evaluate(ds, items, params)
+    report = evaluate(ds, items, params)
+    assert report == expected and report.cross_entropy.hex() == expected.cross_entropy.hex()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e12])
+def test_price_start_at_the_range_guard(scale, monkeypatch):
+    # evaluate starts at -prices / epsilon: up to about 2**54 with epsilon just
+    # above max |M| / 2**53, where the solve stays finite; at or below that
+    # bound the instance's guard raises first, before a division that could
+    # overflow. With alpha = 0 and scaled unit items, the affinity is scale * M
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(30, 3))
+    M[:, 0] += 2.0
+    caps = np.array([10, 20, 20])  # room for item 0's excess on either other item
+    ds = Dataset(users=M, distances=np.zeros((30, 3)), capacities=caps,
+                 matching=np.arange(30) % 3, alpha=0.0)
+    items = scale * np.eye(3)
+    affinity = compute_affinity(ds.users, items, ds.distances, ds.alpha)
+    bound = float(np.abs(affinity).max() / 2**53)
+    epsilon = float(np.nextafter(bound, np.inf))
+    assert epsilon < PRICE_START_BELOW and sorted_prices(affinity, caps).max() > 0
+    solves = []
+    monkeypatch.setattr(simca.metrics, "solve_ot",
+                        lambda *args, **kwargs: solves.append(solve_ot(*args, **kwargs)) or solves[-1])
+    evaluate(ds, items, AffinityParams(alpha=0.0, epsilon=epsilon))
+    for potential in (solves[0].coupling, solves[0].log_a, solves[0].log_b):
+        assert np.isfinite(potential).all()
+    for epsilon in (bound, 5e-324):
+        message = f"^affinity / epsilon overflows at epsilon={re.escape(repr(epsilon))}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(ds, items, AffinityParams(alpha=0.0, epsilon=epsilon))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_names_a_non_finite_affinity_before_seeking_prices(monkeypatch):
+    # items at 1.5e308 overflow the affinity to inf and NaN; at epsilon = 0.002
+    # evaluate would start from the sorted prices, but the instance's guard
+    # names the affinity first, before the prices are sought or divided
+    ds = generate_dataset(GenConfig(n=30, m=3, d=2, k=3, seed=5))
+    items = np.full((3, 2), 1.5e308)
+    with np.errstate(all="ignore"):
+        affinity = compute_affinity(ds.users, items, ds.distances, ds.alpha)
+    assert not np.isfinite(affinity).all()
+    monkeypatch.setattr(simca.metrics, "compute_affinity", lambda *_: affinity)
+    sought = []
+    monkeypatch.setattr(simca.metrics, "sorted_prices", lambda *args: sought.append(args))
+    with pytest.raises(ValueError, match="^affinity is not finite$"):
+        evaluate(ds, items, AffinityParams(alpha=ds.alpha, epsilon=0.002))
+    assert not sought
 
 
 def test_evaluate_is_deterministic():

@@ -304,7 +304,7 @@ def test_too_small_an_epsilon_fails_at_epoch_0_naming_it(epsilon):
 def test_every_rounded_plan_is_finite_or_the_run_diverged(monkeypatch, epsilon, joint,
                                                           extra_spots):
     # the LAP kernel checks nothing, and NaN scores would spin its excess drain:
-    # an epoch rounds only a plan that passed the solve's range guard
+    # an epoch rounds only a plan that passed its instance's range guard
     finite = []
 
     def recording_round(pi, caps):
