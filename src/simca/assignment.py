@@ -10,12 +10,22 @@ While every item is either over capacity or strictly below it, however
 many items are over, each shortest path is a single move out of an
 over-full item, so one sort of their users replaces those rounds until an
 over-full item reaches its capacity, a destination fills or two users share
-a key; the rounds drain what excess is left and alone break ties. Memory is
-O(n*m) and time O(n*m + n*log n) in that regime, and
-O(n*m*log n + excess*m^2*log n) beyond it, where the excess is the number
-of users the row argmax puts over capacity. Ties are broken
-deterministically; on fully tied inputs the result is the lexicographically
-smallest assignment vector, as for the brute-force oracle.
+a key. Memory is O(n*m) and time O(n*m + n*log n) in that regime.
+
+What excess the sort leaves goes first to a clearing phase, which treats
+the users of one item as "similar persons" (Bertsekas & Castanon 1989):
+each step raises the price of the most over-full item until only its
+capacity keeps it and moves every user below that price to its best other
+item, in one numpy pass over the item's users. The rounds finish exactly
+from its state. Its result stands only when a check of strict
+complementary slackness shows it to be the unique optimum, so the rounds
+from the sorted phase would return the same bytes; on ties, degenerate
+optima or keys near 2**53 the check fails and those rounds run instead. So
+the rounds alone break ties: on fully tied inputs the result is the
+lexicographically smallest assignment vector, as for the brute-force
+oracle. The clearing takes O(n*m) per step for at most 8*m steps and the
+check O(n*m); each round left takes O(m^2 * log n), after heaps of
+O(n*m*log n).
 
 ``solve_lap`` is the checked entry: it checks the scores and capacities,
 calls the kernel and scores its matching. ``round_coupling`` is the kernel,
@@ -29,6 +39,7 @@ transport solve at small epsilon.
 """
 from __future__ import annotations
 
+import graphlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -74,14 +85,33 @@ def round_coupling(coupling, caps) -> np.ndarray:
     excess drain from ending. The callers guarantee this: ``solve_lap``
     checks both; ``evaluate`` and a training epoch round the plan of a
     transport solve, which the instance's range guard leaves finite, with
-    the capacities of a checked ``Dataset``. The row argmax and the sorted
-    phase run in ``_sorted_phase``, which ``sorted_prices`` shares; the
-    rounds of ``_drain_excess`` move what excess that phase leaves.
+    the capacities of a checked ``Dataset``.
+
+    Three phases, each keeping every user on an item maximizing
+    M[u, j] - prices[j] and a positive price only on an item at or over
+    capacity. The row argmax and the sort run in ``_sorted_phase``, which
+    ``sorted_prices`` shares. When they leave excess, ``_clear_excess``
+    raises the prices of over-full items in bulk, and the rounds of
+    ``_drain_excess`` move what excess it leaves, from its prices.
+    ``_certify`` then checks that every user beats its second-best item by
+    more than rounding, which makes the matching the unique optimum. When
+    the check fails, or the clearing settles nothing, the rounds run from
+    the sorted phase instead. The sort costs O(n*m + n*log n), a clearing
+    step O(n*m) for at most 8*m steps, the check O(n*m) and each round left
+    O(m^2 * log n).
     """
     assign, counts, prices = _sorted_phase(coupling, caps)
-    if np.any(counts > caps):
-        assign = _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
-    return assign
+    if not np.any(counts > caps):
+        return assign
+    scores = np.ascontiguousarray(coupling.T)  # items-major: one row per item
+    cleared = _clear_excess(scores, caps, assign, counts, prices)
+    if cleared is not None:
+        matching, left, cleared_prices = cleared
+        if np.any(left > caps):
+            matching = _drain_excess(coupling, caps.tolist(), matching, left.tolist(), cleared_prices)
+        if _certify(scores, caps, matching, np.array(cleared_prices)):
+            return matching
+    return _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
 
 
 def sorted_prices(M, caps) -> np.ndarray | None:
@@ -177,9 +207,129 @@ def _sort_excess(M, caps, assign, counts) -> list:
     return np.where(over, price, 0.0).tolist()
 
 
+def _clear_excess(scores, caps, assign, counts, prices) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """Copies of ``assign``, ``counts`` and ``prices`` after ``_clear_step``s
+    on the most over-full item, or None when they settle no excess.
+
+    It stops at a tie, after 8*m steps, or after m steps in a row that settle
+    no excess: their users only pass between full items, as when two items
+    trade the same users back and forth. ``scores`` is the (m, n) transpose
+    of M.
+    """
+    assign, counts, prices = assign.copy(), counts.copy(), np.array(prices)
+    m = len(caps)
+    start = excess = np.maximum(counts - caps, 0).sum()
+    steps = idle = 0
+    while excess and steps < 8 * m and idle < m:
+        if not _clear_step(scores, caps, assign, counts, prices, np.argmax(counts - caps)):
+            break
+        left = np.maximum(counts - caps, 0).sum()
+        idle = idle + 1 if left == excess else 0
+        excess = left
+        steps += 1
+    return (assign, counts, prices.tolist()) if excess < start else None
+
+
+def _clear_step(scores, caps, assign, counts, prices, j) -> bool:
+    """Raise the price of item j, at or over capacity, until only caps[j] of
+    its users keep it: one numpy pass over j's users.
+
+    A user u of j keeps j while j's price stays below its margin
+    M[u, j] - max_{k != j} (M[u, k] - prices[k]), so the new price lies
+    midway between the largest margin of the users who leave, or j's price
+    when none does, and the least margin of those who keep j; every user
+    below it moves to its best other item, the lowest-index one on ties.
+    Every user then still sits on an item maximizing M - prices; j is
+    exactly full and the other items only gain users, so a positive price
+    still sits only on an item at or over capacity. ``scores`` is the (m, n)
+    transpose of M, whose rows gather j's users fast. Moves users in
+    ``assign`` and ``counts`` and raises ``prices[j]`` in place; returns
+    False, changing nothing, when the two bounds are one float or j has no
+    capacity to price against.
+    """
+    if caps[j] == 0:
+        return False
+    users = np.flatnonzero(assign == j)
+    value = scores.take(users, axis=1)
+    margin = value[j].copy()
+    value -= prices[:, None]
+    value[j] = -np.inf
+    margin -= value.max(axis=0)
+    leave = len(users) - caps[j]
+    if leave:
+        part = np.partition(margin, (leave - 1, leave))
+        low, high = part[leave - 1], part[leave]
+    else:
+        low, high = prices[j], margin.min()
+    price = low / 2 + high / 2
+    if not low < price < high:
+        return False  # a tie at the boundary: the rounds break it
+    out = margin < price
+    best = value[:, out].argmax(axis=0)
+    assign[users[out]] = best
+    counts += np.bincount(best, minlength=len(caps))
+    counts[j] = caps[j]
+    prices[j] = price
+    return True
+
+
+def _certify(scores, caps, assign, prices) -> bool:
+    """Whether ``assign`` is the unique optimum, shown by prices that meet
+    complementary slackness strictly.
+
+    ``prices`` must be a dual optimum up to rounding, as the clearing and
+    the rounds leave them; the rounds leave each user they moved last
+    indifferent between two items. A user on item i tied with item k comes
+    to prefer i when a ``_clear_step`` lifts k's price midway to the least
+    margin of k's own users, so the items that tied users point to are
+    lifted, each after every item its own tied users point to. Then every
+    user must beat its second-best M[u, k] - prices[k] by more than the
+    rounding of either value, and a positive price sit only on a full item.
+    A cycle of ties or a tie with an item that has room leaves another
+    optimum possible: False. ``scores`` is the (m, n) transpose of M.
+    Raises ``prices`` in place.
+    """
+    counts = np.bincount(assign, minlength=len(caps))
+    tied = _ties(scores, assign, prices)
+    if tied.any():
+        order = _lift_order(assign, tied, (counts == caps) & (caps > 0))
+        if order is None or not all(_clear_step(scores, caps, assign, counts, prices, k) for k in order):
+            return False
+        tied = _ties(scores, assign, prices)
+    positive = prices > 0
+    return not tied.any() and np.array_equal(counts[positive], caps[positive])
+
+
+def _ties(scores, assign, prices) -> np.ndarray:
+    """(m, n) mask of the items k != assign[u] whose M[u, k] - prices[k]
+    comes within rounding of the value of u's own item: within eight times
+    the error bound of one subtraction on the scale of M and the prices."""
+    value = scores - prices[:, None]
+    users = np.arange(scores.shape[1])
+    gap = value[assign, users] - value
+    gap[assign, users] = np.inf
+    return gap <= 2.0**-50 * (np.abs(scores).max() + prices.max())
+
+
+def _lift_order(assign, tied, liftable) -> list | None:
+    """The items that tied users point to, each after every item that its
+    own tied users point to; None on a cycle or an item it cannot lift."""
+    items, users = np.nonzero(tied)
+    arcs = set(zip(assign[users].tolist(), items.tolist()))
+    targets = {k for _, k in arcs}
+    if not all(liftable[k] for k in targets):
+        return None
+    try:
+        return list(graphlib.TopologicalSorter(
+            {k: {j for i, j in arcs if i == k} for k in targets}).static_order())
+    except graphlib.CycleError:
+        return None  # a cycle of ties
+
+
 def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     """Successive shortest paths over the items, from the row-argmax start
-    or from where ``_sort_excess`` stopped, with its prices.
+    or from where ``_sort_excess`` or ``_clear_excess`` stopped, with its
+    prices.
 
     Every user sits on an item maximizing M[u, j] - prices[j]. Moving user u
     from j to k then has nonnegative reduced cost

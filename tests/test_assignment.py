@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import slot_expanded_lap
+from simca import assignment
 from simca.assignment import (
     _drain_excess,
     _sort_excess,
+    _sorted_phase,
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
@@ -402,6 +404,156 @@ def test_large_generated_instance_sorts_two_over_full_items():
     assert solve_lap(affinity, ds.capacities).matching.tobytes() == rounds.tobytes()
 
 
+def _rounds_path(M, caps):
+    """The LAP without the clearing: the sorted phase, then the rounds."""
+    assign, counts, prices = _sorted_phase(M, caps)
+    if np.any(counts > caps):
+        assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
+    return assign
+
+
+def test_clearing_settles_the_large_generated_instance_without_the_rounds(monkeypatch):
+    # the n=3000 generation: the sort stops when item 2 is exactly full and
+    # leaves 378 users over capacity on item 1; the clearing moves them all
+    ds = generate_dataset(GenConfig(n=3000, m=3, seed=7))
+    affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
+    _, counts, _ = _sorted_phase(affinity, ds.capacities)
+    assert np.array_equal(counts - ds.capacities, [-408, 378, 0])
+    expected = _rounds_path(affinity, ds.capacities)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _drain_excess(*args)
+
+    monkeypatch.setattr(assignment, "_drain_excess", counted)
+    assert round_coupling(affinity, ds.capacities).tobytes() == expected.tobytes()
+    assert calls == []
+
+
+def test_clearing_leaves_the_rest_to_the_rounds_and_lifts_their_ties(monkeypatch):
+    # at n=300, m=10 the sort leaves 81 users over capacity and the clearing
+    # 40; the rounds move those from its prices and leave the users of their
+    # last moves indifferent, so the check lifts the prices those users point
+    # to before it keeps the matching
+    ds = generate_dataset(GenConfig(n=300, m=10, seed=2))
+    affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
+    expected = _rounds_path(affinity, ds.capacities)
+    drains, checks = [], []
+
+    def counted(M, caps, assign, counts, prices):
+        drains.append(sum(max(c - k, 0) for c, k in zip(counts, caps)))
+        return _drain_excess(M, caps, assign, counts, prices)
+
+    def recorded(scores, caps, matching, prices):
+        checks.append(assignment._ties(scores, matching, prices).any())
+        checks.append(certify(scores, caps, matching, prices))
+        return checks[-1]
+
+    certify = assignment._certify
+    monkeypatch.setattr(assignment, "_drain_excess", counted)
+    monkeypatch.setattr(assignment, "_certify", recorded)
+    matching = round_coupling(affinity, ds.capacities)
+    assert drains == [40] and checks == [True, True]
+    assert matching.tobytes() == expected.tobytes()
+    assert matching.tobytes() == slot_expanded_lap(affinity, ds.capacities).tobytes()
+
+
+@st.composite
+def excess_instances(draw, tied=False):
+    """Scores whose sorted phase leaves excess, so the clearing runs: favoured
+    items over capacity, two or more from m = 3 on, and the excess spread as
+    room over the other items, some of which stay exactly full and keep the
+    sort out; every capacity at least 1; float or, when ``tied``,
+    integer-tied scores; tight total capacity or slack."""
+    n = draw(st.integers(4, 200))
+    m = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    over = rng.choice(m, size=int(rng.integers(min(2, m - 1), m)), replace=False)
+    if tied:
+        M = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+        M[:, over] += rng.integers(1, 3, size=len(over))
+    else:
+        M = rng.normal(size=(n, m))
+        M[:, over] += rng.uniform(0.5, 2.0, size=len(over))
+    counts = np.bincount(M.argmax(axis=1), minlength=m)
+    assume(np.all(counts[over] > 1))
+    caps = counts.copy()
+    caps[over] -= rng.integers(1, counts[over])
+    others = np.setdiff1d(np.arange(m), over)
+    caps[others] += rng.multinomial(int(np.sum(counts - caps)), np.full(len(others), 1.0 / len(others)))
+    caps = np.maximum(caps, 1)  # as a Dataset's: an item of capacity 0 is cleared by the rounds
+    if draw(st.booleans()):
+        caps[rng.choice(others)] += int(rng.integers(1, 4))  # slack
+    _, counts, _ = _sorted_phase(M, caps)
+    assume(np.any(counts > caps))
+    return M, caps
+
+
+def _check_every_clearing_step(mp):
+    """Patch ``_clear_step`` so that after each step every user sits on an
+    item maximizing M - prices, up to rounding, the counts are the
+    matching's and a positive price sits only on an item at or over
+    capacity."""
+    step = assignment._clear_step
+
+    def checked(scores, caps, assign, counts, prices, j):
+        moved = step(scores, caps, assign, counts, prices, j)
+        value = scores.T - prices
+        users = np.arange(len(assign))
+        assert np.all(value.max(axis=1) - value[users, assign] <= 1e-12 * (1 + np.abs(scores).max()))
+        assert np.array_equal(counts, np.bincount(assign, minlength=len(caps)))
+        assert np.all(counts[prices > 0] >= caps[prices > 0])
+        return moved
+
+    mp.setattr(assignment, "_clear_step", checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(excess_instances())
+def test_clearing_matches_the_rounds_and_slot_expanded_oracle(instance):
+    M, caps = instance
+    with pytest.MonkeyPatch.context() as mp:
+        _check_every_clearing_step(mp)
+        matching = round_coupling(M, caps)
+    assert matching.tobytes() == _rounds_path(M, caps).tobytes()
+    assert matching.tobytes() == slot_expanded_lap(M, caps).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(excess_instances(tied=True))
+def test_clearing_on_integer_tied_scores_returns_the_rounds_bytes(instance):
+    M, caps = instance
+    with pytest.MonkeyPatch.context() as mp:
+        _check_every_clearing_step(mp)
+        matching = round_coupling(M, caps)
+    assert matching.tobytes() == _rounds_path(M, caps).tobytes()
+
+
+def test_clearing_falls_back_to_the_rounds_when_its_optimum_is_tied(monkeypatch):
+    # item 0 holds all three users and has room for one; users 0 and 1 share
+    # the key 1, so the sort moves no one. The clearing prices item 0 at 1.5,
+    # between the margins 1 and 2, and moves users 0 and 1 to item 1, then
+    # meets their equal margins there; the rounds finish with [0, 1, 2], an
+    # optimum of 3 tied with the rounds' own [1, 2, 0], so the check fails
+    # and the rounds run from the sorted phase
+    M = np.array([[2.0, 1.0, -2.0], [2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
+    caps = np.array([1, 1, 1])
+    certify = assignment._certify
+    checks = []
+
+    def recorded(scores, caps, matching, prices):
+        checks.append((matching.tolist(), certify(scores, caps, matching, prices)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(assignment, "_certify", recorded)
+    matching = round_coupling(M, caps)
+    assert checks == [([0, 1, 2], False)]
+    assert np.array_equal(matching, [1, 2, 0])
+    assert matching.tobytes() == _rounds_path(M, caps).tobytes()
+    assert M[[0, 1, 2], [0, 1, 2]].sum() == brute_force_lap(M, caps).objective == 3.0
+
+
 @st.composite
 def favoured_instances(draw, several=False):
     """Scores with one favoured item, or with two or more when ``several``,
@@ -526,12 +678,17 @@ def test_integer_tied_scores_match_brute_force(instance):
 
 
 def test_fully_tied_unequal_caps_give_lexicographic_smallest():
+    # 192 of these 288 instances leave excess after the sort, so they reach
+    # the clearing, which must leave the rounds' order to stand
+    cleared = 0
     for caps in itertools.product(range(4), repeat=3):
         caps = np.array(caps)
         for n in range(1, int(caps.sum()) + 1):
             M = np.full((n, 3), 0.25)
             expected = brute_force_lap(M, caps).matching
             assert np.array_equal(solve_lap(M, caps).matching, expected), (caps, n)
+            cleared += np.any(_sorted_phase(M, caps)[1] > caps)
+    assert cleared == 192
     # the cascade through every item, spelled out
     assert np.array_equal(solve_lap(np.zeros((6, 3)), [1, 2, 3]).matching, [0, 1, 1, 2, 2, 2])
     assert np.array_equal(solve_lap(np.zeros((4, 3)), [3, 1, 2]).matching, [0, 0, 0, 1])
