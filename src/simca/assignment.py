@@ -33,9 +33,10 @@ which training and evaluation call on every plan they round; it checks
 nothing and requires a finite float64 (n, m) matrix and an int64 vector of
 m nonnegative capacities that hold the n users. NaN scores would keep its
 excess drain from ending. ``sorted_prices`` takes the same inputs and runs
-only the row argmax and the sort: the item prices of the exact assignment
-when the sort settles every excess, from which ``evaluate`` starts its
-transport solve at small epsilon.
+only the row argmax, the sort and one clearing step that prices the sort's
+source: the item prices of the exact assignment when the sort settles every
+excess, from which ``evaluate`` starts its transport solve at small
+epsilon.
 """
 from __future__ import annotations
 
@@ -123,23 +124,26 @@ def sorted_prices(M, caps) -> np.ndarray | None:
     capacities every price is zero. Otherwise the phase settles only by
     emptying the excess of its one source s, every other item keeping price
     0. Then every price of s from the last key the sort moved up to the
-    least key of the users s keeps is a dual optimum: each user sits on an
-    item maximizing M[u, j] - prices[j], and only the full item s has a
-    positive price. This one lies midway, up to rounding: there
-    ``epsilon * -log_b[s]`` of the entropic plan tends as epsilon -> 0 when
-    one moved and one kept user share the margin, each leaking as much mass
-    across it as the other. ``evaluate`` starts its transport solve from it
-    at small epsilon; from the moved key itself, which leaves that user
-    split in half, small instances took more Newton steps than from zero.
+    least margin of the users s keeps is a dual optimum: each user sits on
+    an item maximizing M[u, j] - prices[j], and only the full item s has a
+    positive price. A ``_clear_step`` on the exactly full s, which moves no
+    one, prices it midway between the two: there ``epsilon * -log_b[s]`` of
+    the entropic plan tends as epsilon -> 0 when one moved and one kept user
+    share the margin, each leaking as much mass across it as the other. It
+    keeps the last key when s has no capacity or the two ends are one float
+    or adjacent floats. ``evaluate`` starts its transport solve from these
+    prices at small epsilon; from the moved key itself, which leaves that
+    user split in half, small instances took more Newton steps than from
+    zero.
     """
     assign, counts, prices = _sorted_phase(M, caps)
     if np.any(counts > caps):
         return None
+    prices = np.array(prices)
     s = np.argmax(prices)
-    kept = M[assign == s]
-    if prices[s] > 0 and len(kept):  # a source of capacity 0 keeps no one: no upper end
-        prices[s] = (prices[s] + np.min(kept[:, s] - np.delete(kept, s, axis=1).max(axis=1))) / 2
-    return np.array(prices)
+    if prices[s] > 0:
+        _clear_step(np.ascontiguousarray(M.T), caps, assign, counts, prices, s)
+    return prices
 
 
 def _sorted_phase(M, caps) -> tuple[np.ndarray, np.ndarray, list]:

@@ -20,11 +20,11 @@ Both methods run on one kernel (``_LogKernel``) that holds M / epsilon
 items-major, as an (m, n+1) array, so that every reduction runs along the
 long, contiguous user axis. Its sums add in the order numpy uses on the
 (n+1, m) layout of the plain loop: a user's sum over the m items in numpy's
-pairwise order for a contiguous run (one by one below 8 values, eight
-strided partial sums up to 128, halves above), an item's sum over the users
-one user after another (pairwise when m = 1, where the plain loop's column
-is contiguous). So the Sinkhorn loop keeps every bit of the plain loop's
-output.
+pairwise order for a contiguous run (one by one below 8 values, as numpy's
+own sum over the items-major rows adds them; eight strided partial sums up
+to 128; halves above), an item's sum over the users one user after another
+(pairwise when m = 1, where the plain loop's column is contiguous). So the
+Sinkhorn loop keeps every bit of the plain loop's output.
 
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
@@ -172,7 +172,8 @@ class _LogKernel:
 
     - per user, over the items (``row_lse``, the coupling's row sums):
       numpy's pairwise order for a contiguous run of m values
-      (``_sum_over_items``);
+      (``_sum_over_items``), which below 8 items is numpy's own sum over
+      ``buf``'s leading axis, one item after another;
     - per item, over the users (``col_lse``, the coupling's column sums):
       one user after another, as ``np.add.accumulate`` adds along a row;
       with m = 1 the plain loop's column is contiguous, and both sum it
@@ -216,34 +217,33 @@ class _LogKernel:
         return pi, col_sums, float(max(row_err, col_err))
 
 
-# numpy sums a contiguous run pairwise: one by one below 8 values, in 8
-# strided partial sums up to this many, and by halves above it
+# numpy sums a contiguous run pairwise: one by one below 8 values, as its
+# sum over a leading axis adds the rows, in 8 strided partial sums up to
+# this many, and by halves above it
 _PAIRWISE_BLOCK = 128
 
 
-def _sum_over_items(buf, lo=0, hi=None) -> np.ndarray:
-    """Sum of ``buf[lo:hi]`` over its rows, one total per user, in the order
-    numpy's pairwise summation adds a contiguous run of ``hi - lo`` values:
-    the order of ``sum(axis=1)`` on the (n+1, m) layout."""
-    hi = len(buf) if hi is None else hi
-    count = hi - lo
+def _sum_over_items(buf) -> np.ndarray:
+    """Sum of ``buf`` over its rows, one total per user, in the order numpy's
+    pairwise summation adds a contiguous run of ``len(buf)`` values: the
+    order of ``sum(axis=1)`` on the (n+1, m) layout. Below 8 rows that order
+    is one row after another, which is how ``sum(axis=0)`` adds the rows of
+    this layout."""
+    count = len(buf)
     if count < 8:
-        out = buf[lo].copy() if count == 1 else buf[lo] + buf[lo + 1]
-        for i in range(lo + 2, hi):
-            out += buf[i]
-        return out
+        return buf.sum(axis=0)
     if count <= _PAIRWISE_BLOCK:
-        tail = hi - count % 8
-        r = buf[lo:lo + 8] + buf[lo + 8:lo + 16] if count >= 16 else buf[lo:lo + 8].copy()
-        for i in range(lo + 16, tail, 8):
+        tail = count - count % 8
+        r = buf[:8].copy()
+        for i in range(8, tail, 8):
             r += buf[i:i + 8]
         out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(tail, hi):
+        for i in range(tail, count):
             out += buf[i]
         return out
     half = count // 2
     half -= half % 8
-    return _sum_over_items(buf, lo, lo + half) + _sum_over_items(buf, lo + half, hi)
+    return _sum_over_items(buf[:half]) + _sum_over_items(buf[half:])
 
 
 def _sum_over_users(buf) -> np.ndarray:

@@ -650,6 +650,29 @@ def test_sorted_prices_are_none_or_a_dual_optimum_of_the_exact_matching(instance
     assert np.all(full[prices > 0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(favoured_instances())
+def test_sorted_prices_price_the_source_midway_across_its_dual_interval(instance):
+    # the dual optimum above also holds at the sort's price p of the source
+    # s itself; the start evaluate takes lies midway between p and the least
+    # margin c of the users s keeps, where a kept and a moved user leak as
+    # much mass across the margin as each other
+    M, caps, _ = instance
+    assign, counts, prices = _sorted_phase(M, caps)
+    if np.any(counts > caps):
+        return
+    s = int(np.argmax(prices))
+    p = prices[s]
+    kept = M[assign == s]
+    got = sorted_prices(M, caps)[s]
+    if caps[s] == 0:
+        assert got == p
+        return
+    c = np.min(kept[:, s] - np.delete(kept, s, axis=1).max(axis=1))
+    if p < (p + c) / 2 < c:
+        assert got == (p + c) / 2
+
+
 @st.composite
 def tied_instances(draw):
     n = draw(st.integers(1, 7))

@@ -263,7 +263,7 @@ def test_matches_reference_loop_bit_for_bit(case, iterations):
 
 @pytest.mark.parametrize("m, n, slack", [
     (m, n, slack)
-    for m in (1, 2, 7, 8, 9, 16, 17, 128, 129, 257)
+    for m in (1, 2, 3, 7, 8, 9, 15, 16, 17, 30, 100, 128, 129, 257)
     for n in (1, 300, 3000)
     for slack in (False, True)
     if slack or n >= m  # n < m users leave capacity over, so a slack row
@@ -271,7 +271,8 @@ def test_matches_reference_loop_bit_for_bit(case, iterations):
 def test_matches_reference_loop_on_every_summation_order(m, n, slack):
     # numpy adds a row of m items one by one below 8, in 8 strided partial
     # sums up to 128 and by halves above it, and a column pairwise when m=1;
-    # the hypothesis cases stop at n=40 and m=12
+    # m=15 is one 8-row slab and a 7-row tail, 3 the benchmark's items, 30
+    # and 100 larger item sets; the hypothesis cases stop at n=40 and m=12
     rng = np.random.default_rng(1000 * m + n + slack)
     caps = 1 + rng.multinomial(max(n, m) - m + 5 * slack, np.full(m, 1.0 / m))
     inst = extend_with_slack(rng.normal(size=(n, m)), caps, 0.3)
