@@ -102,7 +102,7 @@ def round_coupling(coupling, caps) -> np.ndarray:
     O(m^2 * log n).
     """
     assign, counts, prices = _sorted_phase(coupling, caps)
-    if not np.any(counts > caps):
+    if not (counts > caps).any():
         return assign
     scores = np.ascontiguousarray(coupling.T)  # items-major: one row per item
     cleared = _clear_excess(scores, caps, assign, counts, prices)
@@ -137,7 +137,7 @@ def sorted_prices(M, caps) -> np.ndarray | None:
     zero.
     """
     assign, counts, prices = _sorted_phase(M, caps)
-    if np.any(counts > caps):
+    if (counts > caps).any():
         return None
     prices = np.array(prices)
     s = np.argmax(prices)
@@ -150,9 +150,9 @@ def _sorted_phase(M, caps) -> tuple[np.ndarray, np.ndarray, list]:
     """The row argmax, its item counts and its item prices after
     ``_sort_excess`` moved what excess it can; zero prices when the argmax
     fits the capacities."""
-    assign = np.argmax(M, axis=1)
+    assign = M.argmax(axis=1)
     counts = np.bincount(assign, minlength=len(caps))
-    prices = _sort_excess(M, caps, assign, counts) if np.any(counts > caps) else [0.0] * len(caps)
+    prices = _sort_excess(M, caps, assign, counts) if (counts > caps).any() else [0.0] * len(caps)
     return assign, counts, prices
 
 
@@ -192,20 +192,29 @@ def _sort_excess(M, caps, assign, counts) -> list:
     cost = keys[line, best]
     dest = room[best]
     order = np.argsort(cost, kind="stable")
-    shared = np.flatnonzero(np.diff(cost[order]) == 0)  # the rounds break ties: stop before them
-    order = order[: min(gap[over].sum(), shared[0] if len(shared) else len(order))]
-    left = np.abs(gap).tolist()  # excess of each source, room of each destination
-    price = 0.0
-    moves = 0
-    for c, j, k in zip(cost[order].tolist(), home[order].tolist(), dest[order].tolist()):
+    costs = cost[order]
+    shared = np.flatnonzero(costs[1:] == costs[:-1])  # the rounds break ties: stop before them
+    stop = min(gap[over].sum(), shared[0] if len(shared) else len(order))
+    # and after the move that empties a source's excess or fills a destination
+    sources, dests = home[order[:stop]], dest[order[:stop]]
+    for i, (source, left) in enumerate(zip(over.tolist(), np.abs(gap).tolist())):
+        if left <= stop:  # an item needs as many moves as it has excess or room left
+            hits = np.flatnonzero((sources if source else dests) == i)
+            if len(hits) >= left:
+                stop = min(stop, hits[left - 1] + 1)
+    costs = costs[:stop]
+    # the keys rise, so the moves go at once while each key lies above the
+    # price and p + (c - p) lands the price on it, the last key; from the
+    # first move where either fails, the rounds' own arithmetic carries on
+    last = np.concatenate(([0.0], costs[:-1]))
+    off = np.flatnonzero((costs <= last) | (last + (costs - last) != costs))
+    moves = off[0] if len(off) else stop
+    price = float(costs[moves - 1]) if moves else 0.0
+    for c in costs[moves:].tolist():
         if c <= price:
             break  # at the price, the destination would settle among the sources
-        price += c - price  # the rounds' own arithmetic, so the prices carry on exactly
+        price += c - price
         moves += 1
-        left[j] -= 1
-        left[k] -= 1
-        if not (left[j] and left[k]):
-            break
     assign[users[order[:moves]]] = dest[order[:moves]]
     counts[:] = np.bincount(assign, minlength=m)
     return np.where(over, price, 0.0).tolist()

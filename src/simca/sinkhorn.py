@@ -23,8 +23,11 @@ long, contiguous user axis. Its sums add in the order numpy uses on the
 pairwise order for a contiguous run (one by one below 8 values, as numpy's
 own sum over the items-major rows adds them; eight strided partial sums up
 to 128; halves above), an item's sum over the users one user after another
-(pairwise when m = 1, where the plain loop's column is contiguous). So the
-Sinkhorn loop keeps every bit of the plain loop's output.
+(pairwise when m = 1, where the plain loop's column is contiguous). Its
+maxima and sums are numpy's ufunc reductions called directly, into scratch
+vectors, with no wrapper in between. So the Sinkhorn loop keeps every bit of
+the plain loop's output. A solve's marginal error is computed from its plan
+when read, so a fixed-budget solve, whose caller never reads it, skips it.
 
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
@@ -68,7 +71,7 @@ class OtInstance:
 
     def __post_init__(self):
         # from 2**53 on float64 has no unit left; "not <" also fails a NaN affinity
-        peak = np.abs(self.affinity).max()
+        peak = np.maximum.reduce(np.abs(self.affinity), None)
         if not peak < 2.0**53 * self.epsilon:
             raise ValueError(f"affinity / epsilon overflows at epsilon={self.epsilon!r}"
                              if np.isfinite(peak) else "affinity is not finite")
@@ -78,20 +81,18 @@ def extend_with_slack(affinity, caps, epsilon: float) -> OtInstance:
     """Build a balanced instance; appends a zero-affinity virtual user when
     total capacity exceeds the number of users. The capacities are a
     validated integer vector with total at least the number of users. The
-    instance's affinity is C-contiguous, the layout whose summation order
-    the transport solve keeps; building it runs the range guard (see
-    ``OtInstance``)."""
+    instance's affinity is a fresh C-contiguous array, the layout whose
+    summation order the transport solve keeps; building it runs the range
+    guard (see ``OtInstance``)."""
     n, m = affinity.shape
     # Python ints: an int64 sum wraps from 2**63 on
     total = sum(caps.tolist())
-    if total == n:
-        affinity = np.ascontiguousarray(affinity)
-        rows = np.ones(n)
-    else:
-        affinity = np.vstack([affinity, np.zeros((1, m))])
-        rows = np.concatenate([np.ones(n), [float(total - n)]])
+    extended = np.zeros((n + (total > n), m))
+    extended[:n] = affinity
+    rows = np.ones(len(extended))
+    rows[n:] = float(total - n)
     return OtInstance(
-        affinity=affinity,
+        affinity=extended,
         row_masses=rows,
         col_masses=caps.astype(np.float64),
         epsilon=float(epsilon),
@@ -106,23 +107,34 @@ class SinkhornResult:
     ``iterations`` counts Sinkhorn iterations in training mode and Newton
     steps in tolerance mode (see ``solve_ot``).
 
-    ``coupling`` includes the virtual slack row when the instance carries one;
-    ``user_coupling`` strips it. The product form
+    ``coupling`` includes the virtual slack row when the instance ``inst``
+    carries one; ``user_coupling`` strips it. The product form
     coupling = exp(log_a[:, None] + M / epsilon + log_b[None, :]) holds exactly
     by construction.
+
+    ``marginal_error`` is computed from the coupling and ``inst``'s masses
+    when read, as training never reads it.
     """
 
     coupling: np.ndarray
     log_a: np.ndarray
     log_b: np.ndarray
     iterations: int
-    marginal_error: float
     converged: bool
-    n_users: int
+    inst: OtInstance
 
     @property
     def user_coupling(self) -> np.ndarray:
-        return self.coupling[: self.n_users]
+        return self.coupling[: self.inst.n_users]
+
+    @property
+    def marginal_error(self) -> float:
+        """The coupling's largest row or column sum error. ``sum`` on the
+        (n+1, m) layout adds in the kernel's orders, so a tolerance solve
+        reads the error it stopped on, bit for bit."""
+        row_err = np.max(np.abs(self.coupling.sum(axis=1) - self.inst.row_masses))
+        col_err = np.max(np.abs(self.coupling.sum(axis=0) - self.inst.col_masses))
+        return float(max(row_err, col_err))
 
 
 def solve_ot(
@@ -160,60 +172,67 @@ def solve_ot(
 class _LogKernel:
     """The row and column log-sum-exps over ``M / epsilon``, items-major.
 
-    ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) copy made once
-    per solve, finite by the instance's range guard (see ``OtInstance``).
+    ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) array divided
+    once per solve, finite by the instance's range guard (see ``OtInstance``).
 
     ``buf`` is one scratch buffer of ``log_kt``'s shape. Every step of a
     log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
     runs on ``buf``, where each reduction runs along the long, contiguous
-    axis. Elementwise steps and maxima give the same bits in any layout. The
-    sums add in the order of ``sum`` on the plain loop's C-ordered (n+1, m)
-    layout, so every output bit stays the same:
+    axis, with numpy's ufuncs called directly and writing their maxima and
+    sums into scratch vectors. Elementwise steps and maxima give the same
+    bits in any layout. The sums add in the order of ``sum`` on the plain
+    loop's C-ordered (n+1, m) layout, so every output bit stays the same:
 
     - per user, over the items (``row_lse``, the coupling's row sums):
       numpy's pairwise order for a contiguous run of m values
-      (``_sum_over_items``), which below 8 items is numpy's own sum over
+      (``_sum_over_items``), which below 8 items is ``np.add.reduce`` over
       ``buf``'s leading axis, one item after another;
     - per item, over the users (``col_lse``, the coupling's column sums):
       one user after another, as ``np.add.accumulate`` adds along a row;
       with m = 1 the plain loop's column is contiguous, and both sum it
       pairwise (``_sum_over_users``).
 
-    ``coupling`` returns a fresh C-contiguous (n+1, m) array, so callers see
-    the plain loop's layout and ``buf`` stays free for the next call.
+    ``plan`` and ``coupling`` return a fresh C-contiguous (n+1, m) array, so
+    callers see the plain loop's layout and ``buf`` stays free for the next
+    call.
     """
 
     def __init__(self, inst: OtInstance):
         self.inst = inst
-        self.log_kt = np.ascontiguousarray(inst.affinity.T) / inst.epsilon
+        self.log_kt = np.divide(inst.affinity.T, inst.epsilon, order="C")
         self.buf = np.empty_like(self.log_kt)
+        self.row_max, self.row_sum = np.empty((2, len(inst.affinity)))
+        self.col_max = np.empty(len(self.log_kt))
 
     def row_lse(self, log_b) -> np.ndarray:
         buf = np.add(self.log_kt, log_b[:, None], out=self.buf)
-        shift = buf.max(axis=0)
+        shift = np.maximum.reduce(buf, 0, None, self.row_max)
         np.subtract(buf, shift, out=buf)
-        out = np.log(_sum_over_items(np.exp(buf, out=buf)))
+        out = np.log(_sum_over_items(np.exp(buf, out=buf), self.row_sum))
         out += shift
         return out
 
     def col_lse(self, log_a) -> np.ndarray:
         buf = np.add(self.log_kt, log_a, out=self.buf)
-        shift = buf.max(axis=1)
+        shift = np.maximum.reduce(buf, 1, None, self.col_max)
         np.subtract(buf, shift[:, None], out=buf)
         out = np.log(_sum_over_users(np.exp(buf, out=buf)))
         out += shift
         return out
 
-    def coupling(self, log_a, log_b) -> tuple[np.ndarray, np.ndarray, float]:
-        """The product-form coupling, its column sums and its exact marginal
-        error. The coupling is a fresh C-contiguous (n+1, m) array."""
+    def plan(self, log_a, log_b) -> np.ndarray:
+        """The product-form coupling, a fresh C-contiguous (n+1, m) array;
+        ``buf`` keeps its transpose."""
         buf = np.add(self.log_kt, log_a, out=self.buf)
         np.add(buf, log_b[:, None], out=buf)
-        np.exp(buf, out=buf)
-        pi = buf.T.copy()
-        row_err = np.max(np.abs(_sum_over_items(buf) - self.inst.row_masses))
-        col_sums = _sum_over_users(buf)
-        col_err = np.max(np.abs(col_sums - self.inst.col_masses))
+        return np.exp(buf, out=buf).T.copy()
+
+    def coupling(self, log_a, log_b) -> tuple[np.ndarray, np.ndarray, float]:
+        """The ``plan``, its column sums and its exact marginal error."""
+        pi = self.plan(log_a, log_b)
+        row_err = np.maximum.reduce(np.abs(_sum_over_items(self.buf, self.row_sum) - self.inst.row_masses))
+        col_sums = _sum_over_users(self.buf).copy()
+        col_err = np.maximum.reduce(np.abs(col_sums - self.inst.col_masses))
         return pi, col_sums, float(max(row_err, col_err))
 
 
@@ -223,37 +242,37 @@ class _LogKernel:
 _PAIRWISE_BLOCK = 128
 
 
-def _sum_over_items(buf) -> np.ndarray:
+def _sum_over_items(buf, out) -> np.ndarray:
     """Sum of ``buf`` over its rows, one total per user, in the order numpy's
     pairwise summation adds a contiguous run of ``len(buf)`` values: the
     order of ``sum(axis=1)`` on the (n+1, m) layout. Below 8 rows that order
-    is one row after another, which is how ``sum(axis=0)`` adds the rows of
-    this layout."""
+    is one row after another, which is how ``np.add.reduce`` adds the rows
+    of this layout, into ``out``; from 8 rows on the total is a fresh array."""
     count = len(buf)
     if count < 8:
-        return buf.sum(axis=0)
+        return np.add.reduce(buf, 0, None, out)
     if count <= _PAIRWISE_BLOCK:
         tail = count - count % 8
         r = buf[:8].copy()
         for i in range(8, tail, 8):
             r += buf[i:i + 8]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         for i in range(tail, count):
-            out += buf[i]
-        return out
+            total += buf[i]
+        return total
     half = count // 2
     half -= half % 8
-    return _sum_over_items(buf[:half]) + _sum_over_items(buf[half:])
+    return _sum_over_items(buf[:half], None) + _sum_over_items(buf[half:], None)
 
 
 def _sum_over_users(buf) -> np.ndarray:
     """Sum of each row of ``buf``, one total per item, in the order of
     ``sum(axis=0)`` on the (n+1, m) layout: one user after another, or, with
     a single item, pairwise along the then contiguous column. Overwrites
-    ``buf`` with its running sums."""
+    ``buf`` with its running sums, whose last column it returns as a view."""
     if len(buf) == 1:
-        return buf.sum(axis=1)
-    return np.add.accumulate(buf, axis=1, out=buf)[:, -1].copy()
+        return np.add.reduce(buf, 1)
+    return np.add.accumulate(buf, 1, None, buf)[:, -1]
 
 
 def _sinkhorn(inst: OtInstance, iterations: int, log_b) -> SinkhornResult:
@@ -264,9 +283,8 @@ def _sinkhorn(inst: OtInstance, iterations: int, log_b) -> SinkhornResult:
     for _ in range(iterations):
         log_a = log_r - kernel.row_lse(log_b)
         log_b = log_c - kernel.col_lse(log_a)
-    pi, _, error = kernel.coupling(log_a, log_b)
-    return SinkhornResult(coupling=pi, log_a=log_a, log_b=log_b, iterations=iterations,
-                          marginal_error=error, converged=True, n_users=inst.n_users)
+    return SinkhornResult(coupling=kernel.plan(log_a, log_b), log_a=log_a, log_b=log_b,
+                          iterations=iterations, converged=True, inst=inst)
 
 
 # Newton line search: the Armijo fraction of the predicted decrease, and the
@@ -333,7 +351,7 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
         grad = here.col_sums - c
         pi = here.coupling
         hess = np.diag(here.col_sums) - pi.T @ (pi / r[:, None]) + 1.0 / m
-        hess[np.diag_indices(m)] += min(inst.epsilon, 1.0) * np.abs(grad).max()
+        hess[np.diag_indices(m)] += min(inst.epsilon, 1.0) * np.maximum.reduce(np.abs(grad))
         try:
             direction = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -355,8 +373,7 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
         here = trial
         steps += 1
     return SinkhornResult(coupling=here.coupling, log_a=here.log_a, log_b=here.log_b,
-                          iterations=steps, marginal_error=here.error,
-                          converged=here.error <= tol, n_users=inst.n_users)
+                          iterations=steps, converged=here.error <= tol, inst=inst)
 
 
 def entropy(pi) -> float:
@@ -398,6 +415,5 @@ def matched_cross_entropy(inst: OtInstance, result: SinkhornResult, assign) -> f
     log_b[assign[i]], the exponent of the product form, so a matched entry
     that underflows to 0 in the coupling (small epsilon) still scores finite.
     """
-    users = np.arange(len(assign))
-    log_k = inst.affinity[users, assign] / inst.epsilon
-    return float(-(result.log_a[users] + log_k + result.log_b[assign]).sum())
+    log_k = inst.affinity[np.arange(len(assign)), assign] / inst.epsilon
+    return float(-np.add.reduce(result.log_a[:len(assign)] + log_k + result.log_b[assign]))

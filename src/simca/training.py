@@ -92,14 +92,21 @@ def loss_gradient_items(users, assign, coupling, alpha: float, epsilon: float) -
 
     ``coupling`` is the user coupling (n x m), without the slack row.
     """
-    diff = coupling - matching_matrix(assign, coupling.shape[1])
-    return ((1.0 - alpha) / epsilon) * diff.T @ users
+    return ((1.0 - alpha) / epsilon) * _minus_matching(coupling, assign).T @ users
 
 
 def loss_gradient_users(items, assign, coupling, alpha: float, epsilon: float) -> np.ndarray:
     """Symmetric gradient in the user embeddings, for joint learning."""
-    diff = coupling - matching_matrix(assign, coupling.shape[1])
-    return ((1.0 - alpha) / epsilon) * diff @ items
+    return ((1.0 - alpha) / epsilon) * _minus_matching(coupling, assign) @ items
+
+
+def _minus_matching(coupling, assign) -> np.ndarray:
+    """``coupling - matching_matrix(assign, m)``, as a copy of the coupling
+    less 1.0 at the matched entries: x - 0.0 is x. The copy is C-contiguous,
+    so its ``ravel`` is a view that takes the matched entries by flat index."""
+    diff = coupling.copy()
+    diff.ravel()[np.arange(0, diff.size, diff.shape[1]) + assign] -= 1.0
+    return diff
 
 
 def init_embeddings(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
@@ -166,7 +173,7 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
         micro, macro, _ = f1_scores(sigma, predicted, dataset.n_items)
         if dataset.items_truth is not None:
             dist = mean_embedding_distance(items, dataset.items_truth)
-    grad_norm = math.sqrt(sum(float(np.sum(grad**2)) for grad in grads))
+    grad_norm = math.sqrt(sum(float(np.add.reduce(grad**2, None)) for grad in grads))
     return EpochRecord(epoch, loss, micro, macro, dist, grad_norm), grads, result.log_b
 
 

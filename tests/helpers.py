@@ -99,9 +99,8 @@ def reference_solve_ot(
         log_a=log_a,
         log_b=log_b,
         iterations=done,
-        marginal_error=error,
         converged=tol is None or error <= tol,
-        n_users=inst.n_users,
+        inst=inst,
     )
 
 

@@ -234,6 +234,26 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
     assert np.array_equal(sol.matching, [1, 2])
 
 
+def test_sort_stops_at_a_price_that_left_its_key():
+    # the first move prices item 0 at its tiny key; from there 1.5 + 2**-52 - 1.5 * 2**-52
+    # rounds to 1.5, so the second move lands the price one ulp above its key,
+    # on 1.5 + 2**-51: the third key equals it and stops the sort at the price
+    tiny = 1.5 * 2.0**-52
+    M = np.zeros((4, 2))
+    M[:, 0] = [tiny, 1.5 + 2.0**-52, 1.5 + 2.0**-51, 2.0]
+    caps = np.array([1, 3])
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=2)
+    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 2)
+    prices = _sort_excess(M, caps, assign, counts)
+    assert prices[0].hex() == "0x1.8000000000002p+0" and prices[1] == 0.0
+    assert np.array_equal(assign, [1, 1, 0, 0]) and np.array_equal(counts, [2, 2])
+    expected = brute_force_lap(M, caps).matching
+    assert np.array_equal(expected, [1, 1, 1, 0])
+    assert np.array_equal(round_coupling(M, caps), expected)
+    assert np.array_equal(rounds, expected)
+
+
 def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
     # item 3 holds no user and has no room, so it is neither over capacity nor
     # below it, the sort does not apply and the rounds start. Round 1 moves

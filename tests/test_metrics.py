@@ -67,6 +67,24 @@ def test_mean_embedding_distance():
         mean_embedding_distance(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 60), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_scorers_give_the_bits_of_numpys_mean_and_norm(m, n, d, seed):
+    # the scorers call numpy's ufuncs directly; they return Python floats with
+    # the bits of the np.mean and np.linalg.norm forms, an empty matching included
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, m, size=n)
+    pred = np.where(rng.random(n) < 0.5, truth, rng.integers(0, m, size=n))
+    micro, macro, per_item = f1_scores(truth, pred, m)
+    assert type(micro) is float and type(macro) is float
+    assert micro.hex() == (float(np.mean(truth == pred)) if n else 1.0).hex()
+    assert macro.hex() == float(per_item.mean()).hex()
+    learned, items = rng.normal(size=(m, d)), rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 1e3])
+    dist = mean_embedding_distance(learned, items)
+    assert type(dist) is float
+    assert dist.hex() == float(np.mean(np.linalg.norm(learned - items, axis=1))).hex()
+
+
 @pytest.mark.parametrize("cap, converged", [(2, False), (None, True)],
                          ids=["hits-the-cap", "converges"])
 def test_evaluate_reports_its_solve(monkeypatch, cap, converged):

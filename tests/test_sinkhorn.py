@@ -211,12 +211,31 @@ def test_stopping_mode_is_exclusive():
 
 
 def _assert_same_bits(fast, slow):
-    for f in dataclasses.fields(fast):
-        a, b = getattr(fast, f.name), getattr(slow, f.name)
+    """Every field of two results, their instances' fields included, and
+    the marginal error each computes when read, bit for bit; then the
+    kernel's own sums at ``fast``'s potentials (``_assert_kernel_sums``)."""
+    for name in [*(f.name for f in dataclasses.fields(fast)), "marginal_error"]:
+        a, b = getattr(fast, name), getattr(slow, name)
         if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), f.name
+            assert np.array_equal(a, b), name
+        elif dataclasses.is_dataclass(a):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f"{name}.{f.name}"
         else:
-            assert a == b, f.name
+            assert a == b, name
+    _assert_kernel_sums(fast)
+
+
+def _assert_kernel_sums(result):
+    """The kernel's coupling at ``result``'s potentials, with the column sums
+    and the marginal error a Newton solve steps and stops on, equals the
+    result's coupling, its column sums on the (n+1, m) layout and its
+    ``marginal_error``, bit for bit."""
+    pi, col_sums, error = simca.sinkhorn._LogKernel(result.inst).coupling(result.log_a,
+                                                                         result.log_b)
+    assert np.array_equal(pi, result.coupling)
+    assert np.array_equal(col_sums, result.coupling.sum(axis=0))
+    assert error == result.marginal_error
 
 
 def _assert_agrees(fast, slow, inst, tol):
@@ -229,8 +248,7 @@ def _assert_agrees(fast, slow, inst, tol):
     ``oracle_cases`` shapes, with loop caps up to 10,000, was 11.2 tol (n=27,
     m=2); the bound keeps a margin of about 10 over that."""
     pi = fast.coupling
-    assert fast.marginal_error == max(np.max(np.abs(pi.sum(axis=1) - inst.row_masses)),
-                                      np.max(np.abs(pi.sum(axis=0) - inst.col_masses)))
+    _assert_kernel_sums(fast)
     assert fast.converged is (fast.marginal_error <= tol)
     product = np.exp(fast.log_a[:, None] + inst.affinity / inst.epsilon + fast.log_b[None, :])
     assert np.array_equal(pi, product)
