@@ -24,10 +24,16 @@ pairwise order for a contiguous run (one by one below 8 values, as numpy's
 own sum over the items-major rows adds them; eight strided partial sums up
 to 128; halves above), an item's sum over the users one user after another
 (pairwise when m = 1, where the plain loop's column is contiguous). Its
-maxima and sums are numpy's ufunc reductions called directly, into scratch
-vectors, with no wrapper in between. So the Sinkhorn loop keeps every bit of
-the plain loop's output. A solve's marginal error is computed from its plan
-when read, so a fixed-budget solve, whose caller never reads it, skips it.
+maxima and sums are numpy's ufunc reductions called directly, with no
+wrapper in between. So the Sinkhorn loop keeps every bit of the plain loop's
+output. Each solve builds its own kernel, which allocates the solve's
+buffers once: the (m, n+1) scratch array, both potentials and every
+log-sum-exp's shift, sum and output. Both half-steps (``_scale``) write
+every ufunc's output into them, so an iteration allocates nothing. The
+start is copied in, and the result owns its coupling and potentials, so a
+warm-started chain of solves never writes into an earlier result. A
+solve's marginal error is computed from its plan when read, so a
+fixed-budget solve, whose caller never reads it, skips it.
 
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
@@ -163,62 +169,70 @@ def solve_ot(
         raise ValueError("specify exactly one of iterations or tol")
     if tol is None and iterations < 1:
         raise ValueError("iterations must be at least 1")
-    log_b = np.zeros(inst.affinity.shape[1]) if log_b_init is None else log_b_init
     if tol is not None:
-        return _newton(inst, tol, log_b)
-    return _sinkhorn(inst, iterations, log_b)
+        return _newton(inst, tol, log_b_init)
+    return _sinkhorn(inst, iterations, log_b_init)
 
 
 class _LogKernel:
-    """The row and column log-sum-exps over ``M / epsilon``, items-major.
+    """The row and column log-sum-exps over ``M / epsilon``, items-major,
+    and the buffers a solve runs in.
 
     ``log_kt`` is ``(M / epsilon).T``, a C-contiguous (m, n+1) array divided
     once per solve, finite by the instance's range guard (see ``OtInstance``).
 
-    ``buf`` is one scratch buffer of ``log_kt``'s shape. Every step of a
-    log-sum-exp (the add, the max, the subtract, the ``exp`` and the sums)
-    runs on ``buf``, where each reduction runs along the long, contiguous
-    axis, with numpy's ufuncs called directly and writing their maxima and
-    sums into scratch vectors. Elementwise steps and maxima give the same
-    bits in any layout. The sums add in the order of ``sum`` on the plain
-    loop's C-ordered (n+1, m) layout, so every output bit stays the same:
+    A solve builds one kernel, which allocates every array the solve's
+    iterations use:
 
-    - per user, over the items (``row_lse``, the coupling's row sums):
+    - ``buf``, one scratch array of ``log_kt``'s shape;
+    - ``log_a`` and ``log_b``, the potentials; ``log_b`` starts as a copy of
+      the start it is given (zero by default), so a solve never writes into
+      its caller's array;
+    - ``row_lse``, ``row_max`` and ``row_sum`` (n+1 each), and ``col_lse``,
+      ``col_max`` and ``col_sum`` (m each): each log-sum-exp, its shift and
+      its sum; and ``log_r`` and ``log_c``, the logs of the masses.
+
+    ``_scale`` runs the half-steps on these buffers, every ufunc writing
+    into them through a positional ``out``, so an iteration allocates
+    nothing. Every step of a log-sum-exp (the add, the max, the subtract,
+    the ``exp`` and the sums) runs on ``buf``, where each reduction runs
+    along the long, contiguous axis. Elementwise steps and maxima give the
+    same bits in any layout. The sums add in the order of ``sum`` on the
+    plain loop's C-ordered (n+1, m) layout, so every output bit stays the
+    same:
+
+    - per user, over the items (the row half-step, the coupling's row sums):
       numpy's pairwise order for a contiguous run of m values
       (``_sum_over_items``), which below 8 items is ``np.add.reduce`` over
       ``buf``'s leading axis, one item after another;
-    - per item, over the users (``col_lse``, the coupling's column sums):
-      one user after another, as ``np.add.accumulate`` adds along a row;
-      with m = 1 the plain loop's column is contiguous, and both sum it
+    - per item, over the users (the column half-step, the coupling's column
+      sums): one user after another, as ``np.add.accumulate`` adds along a
+      row; with m = 1 the plain loop's column is contiguous, and both sum it
       pairwise (``_sum_over_users``).
 
     ``plan`` and ``coupling`` return a fresh C-contiguous (n+1, m) array, so
     callers see the plain loop's layout and ``buf`` stays free for the next
     call.
+
+    A result owns its coupling and potentials: the coupling is ``plan``'s
+    fresh array, and ``log_a`` and ``log_b`` are the kernel's own (or, for
+    a Newton solve, its last iterate's ``log_b``), which nothing writes once
+    the solve returns and drops its kernel. Buffers live per solve, never
+    per run: the next solve builds a kernel of its own, and copies in a
+    start taken from an earlier result.
     """
 
-    def __init__(self, inst: OtInstance):
+    def __init__(self, inst: OtInstance, log_b=None):
         self.inst = inst
         self.log_kt = np.divide(inst.affinity.T, inst.epsilon, order="C")
         self.buf = np.empty_like(self.log_kt)
-        self.row_max, self.row_sum = np.empty((2, len(inst.affinity)))
-        self.col_max = np.empty(len(self.log_kt))
-
-    def row_lse(self, log_b) -> np.ndarray:
-        buf = np.add(self.log_kt, log_b[:, None], out=self.buf)
-        shift = np.maximum.reduce(buf, 0, None, self.row_max)
-        np.subtract(buf, shift, out=buf)
-        out = np.log(_sum_over_items(np.exp(buf, out=buf), self.row_sum))
-        out += shift
-        return out
-
-    def col_lse(self, log_a) -> np.ndarray:
-        buf = np.add(self.log_kt, log_a, out=self.buf)
-        shift = np.maximum.reduce(buf, 1, None, self.col_max)
-        np.subtract(buf, shift[:, None], out=buf)
-        out = np.log(_sum_over_users(np.exp(buf, out=buf)))
-        out += shift
-        return out
+        m, users = self.log_kt.shape
+        self.log_r = np.log(inst.row_masses)
+        self.log_c = np.log(inst.col_masses)
+        self.log_a = np.empty(users)
+        self.log_b = np.zeros(m) if log_b is None else np.array(log_b, np.float64)
+        self.row_lse, self.row_max, self.row_sum = np.empty((3, users))
+        self.col_lse, self.col_max, self.col_sum = np.empty((3, m))
 
     def plan(self, log_a, log_b) -> np.ndarray:
         """The product-form coupling, a fresh C-contiguous (n+1, m) array;
@@ -275,16 +289,58 @@ def _sum_over_users(buf) -> np.ndarray:
     return np.add.accumulate(buf, 1, None, buf)[:, -1]
 
 
+def _scale(kernel: _LogKernel, half_steps: int) -> None:
+    """Run ``half_steps`` alternating half-steps on ``kernel``'s buffers, a
+    row half-step first: twice the iterations of a Sinkhorn solve, or one
+    for the row potentials at ``kernel.log_b`` that a Newton iterate reads.
+
+    The row half-step sets ``log_a = log_r - row_lse``, with ``row_lse`` the
+    log-sum-exp over the items of ``log_kt + log_b``; the column half-step
+    sets ``log_b = log_c - col_lse`` over the users of ``log_kt + log_a``.
+    Every array is bound to a local before the loop, and every ufunc writes
+    into its buffer, so the loop looks up no attribute and allocates nothing
+    (``_sum_over_items`` from 8 items on excepted).
+    """
+    k = kernel
+    log_kt, buf, log_a, log_b = k.log_kt, k.buf, k.log_a, k.log_b
+    log_r, row_lse, row_max, row_sum = k.log_r, k.row_lse, k.row_max, k.row_sum
+    log_c, col_lse, col_max, col_sum = k.log_c, k.col_lse, k.col_max, k.col_sum
+    log_b_col, col_shift = log_b[:, None], col_max[:, None]
+    items = len(log_kt)
+    few_items, one_item = items < 8, items == 1
+    # np.add.accumulate leaves each item's total in buf's last column
+    user_sums = col_sum if one_item else buf[:, -1]
+    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
+    largest, total, running = np.maximum.reduce, np.add.reduce, np.add.accumulate
+    for step in range(half_steps):
+        if step & 1 == 0:
+            add(log_kt, log_b_col, buf)
+            largest(buf, 0, None, row_max)
+            subtract(buf, row_max, buf)
+            exp(buf, buf)
+            log(total(buf, 0, None, row_sum) if few_items else _sum_over_items(buf, None), row_lse)
+            add(row_lse, row_max, row_lse)
+            subtract(log_r, row_lse, log_a)
+        else:
+            add(log_kt, log_a, buf)
+            largest(buf, 1, None, col_max)
+            subtract(buf, col_shift, buf)
+            exp(buf, buf)
+            if one_item:
+                total(buf, 1, None, col_sum)
+            else:
+                running(buf, 1, None, buf)
+            log(user_sums, col_lse)
+            add(col_lse, col_max, col_lse)
+            subtract(log_c, col_lse, log_b)
+
+
 def _sinkhorn(inst: OtInstance, iterations: int, log_b) -> SinkhornResult:
-    """Fixed-budget Sinkhorn scaling."""
-    kernel = _LogKernel(inst)
-    log_r = np.log(inst.row_masses)
-    log_c = np.log(inst.col_masses)
-    for _ in range(iterations):
-        log_a = log_r - kernel.row_lse(log_b)
-        log_b = log_c - kernel.col_lse(log_a)
-    return SinkhornResult(coupling=kernel.plan(log_a, log_b), log_a=log_a, log_b=log_b,
-                          iterations=iterations, converged=True, inst=inst)
+    """Fixed-budget Sinkhorn scaling from the start ``log_b``."""
+    kernel = _LogKernel(inst, log_b)
+    _scale(kernel, 2 * iterations)
+    return SinkhornResult(coupling=kernel.plan(kernel.log_a, kernel.log_b), log_a=kernel.log_a,
+                          log_b=kernel.log_b, iterations=iterations, converged=True, inst=inst)
 
 
 # Newton line search: the Armijo fraction of the predicted decrease, and the
@@ -298,7 +354,6 @@ MAX_NEWTON_STEPS = 10_000
 
 
 class _Iterate(NamedTuple):
-    log_a: np.ndarray
     log_b: np.ndarray
     coupling: np.ndarray
     col_sums: np.ndarray
@@ -333,19 +388,24 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     the exact marginal error. When no halving is taken either way, the solve
     stops at once, unconverged.
     """
-    kernel = _LogKernel(inst)
+    kernel = _LogKernel(inst, log_b)
     r, c = inst.row_masses, inst.col_masses
-    log_r = np.log(r)
+    log_a, lse = kernel.log_a, kernel.row_lse
     m = len(c)
 
+    def row_step(log_b):
+        """The row half-step at ``log_b``, into the kernel's ``log_a`` and ``row_lse``."""
+        np.copyto(kernel.log_b, log_b)
+        _scale(kernel, 1)
+
     def iterate(log_b) -> _Iterate:
-        lse = kernel.row_lse(log_b)
-        log_a = log_r - lse
+        row_step(log_b)
         pi, col_sums, error = kernel.coupling(log_a, log_b)
         rounding = _VALUE_ROUNDING * (r @ np.abs(lse) + c @ np.abs(log_b))
-        return _Iterate(log_a, log_b, pi, col_sums, error, r @ lse - c @ log_b, rounding)
+        return _Iterate(log_b, pi, col_sums, error, r @ lse - c @ log_b, rounding)
 
-    here = iterate(log_b)
+    # each iterate owns its log_b; the kernel's holds a copy for the row half-step
+    here = iterate(kernel.log_b.copy())
     steps = 0
     while here.error > tol and steps < MAX_NEWTON_STEPS:
         grad = here.col_sums - c
@@ -369,10 +429,12 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
                 break
             t /= 2
         else:
+            # the kernel's log_a is the last trial's: recompute the current one's
+            row_step(here.log_b)
             break
         here = trial
         steps += 1
-    return SinkhornResult(coupling=here.coupling, log_a=here.log_a, log_b=here.log_b,
+    return SinkhornResult(coupling=here.coupling, log_a=log_a, log_b=here.log_b,
                           iterations=steps, converged=here.error <= tol, inst=inst)
 
 

@@ -316,6 +316,57 @@ def test_fortran_ordered_affinity_matches_reference_loop():
         _assert_same_bits(fast, reference_solve_ot(reference_inst, iterations=10))
 
 
+@pytest.mark.parametrize("m", [1, 3, 15])
+def test_a_warm_started_chain_never_writes_into_a_start_or_an_earlier_result(m):
+    # one m per summation branch of the loop: pairwise over the users (m=1),
+    # a leading-axis reduce over the items (m=3) and _sum_over_items (m=15).
+    # Each solve starts from the previous result's log_b, as training's
+    # epochs do, on an affinity that moves from one solve to the next.
+    rng = np.random.default_rng(40 + m)
+    n = 30
+    caps = 1 + rng.multinomial(n + 4 - m, np.full(m, 1.0 / m))
+    fields = ("coupling", "log_a", "log_b")
+    start = rng.normal(size=m)
+    start_bytes = start.tobytes()
+    chain, saved = [], []
+    log_b = start
+    for k in range(6):
+        inst = extend_with_slack(rng.normal(size=(n, m)), caps, 0.3)
+        result = solve_ot(inst, iterations=1 + k % 3, log_b_init=log_b)
+        chain.append(result)
+        saved.append([getattr(result, name).tobytes() for name in fields])
+        log_b = result.log_b
+    assert start.tobytes() == start_bytes
+    for k, (result, before) in enumerate(zip(chain, saved)):
+        for name, data in zip(fields, before):
+            assert getattr(result, name).tobytes() == data, f"solve {k}: {name}"
+    # a tolerance solve run twice, with other solves in between, gives the
+    # same bits, also at an unreachable tolerance, where it stalls in its
+    # line search
+    inst = extend_with_slack(rng.normal(size=(n, m)), caps, 0.3)
+    for tol in (1e-10, 0.0):
+        first = solve_ot(inst, tol=tol, log_b_init=start)
+        before = [getattr(first, name).tobytes() for name in fields]
+        solve_ot(inst, iterations=3, log_b_init=first.log_b)
+        solve_ot(dataclasses.replace(inst, epsilon=0.5), tol=tol, log_b_init=first.log_b)
+        _assert_same_bits(solve_ot(inst, tol=tol, log_b_init=start), first)
+        assert [getattr(first, name).tobytes() for name in fields] == before
+        assert start.tobytes() == start_bytes
+
+
+def test_a_stalled_newton_solve_returns_the_log_a_of_its_last_iterate(monkeypatch):
+    # with one halving the line search stalls on its first rejected full
+    # step, whose row half-step has overwritten the kernel's log_a; the
+    # result still pairs the last taken iterate's log_a with its log_b
+    monkeypatch.setattr(simca.sinkhorn, "_MAX_HALVINGS", 1)
+    rng = np.random.default_rng(0)
+    caps = 1 + rng.multinomial(31, np.full(3, 1.0 / 3))
+    inst = extend_with_slack(3.0 * rng.normal(size=(30, 3)), caps, 0.01)
+    result = solve_ot(inst, tol=1e-10)
+    assert not result.converged and result.iterations < simca.sinkhorn.MAX_NEWTON_STEPS
+    _assert_kernel_sums(result)
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracle_cases(), st.sampled_from([1e-6, 1e-10]), st.sampled_from([1, 2, 7, 1_000]))
 def test_tolerance_mode_agrees_with_reference_loop(case, tol, reference_cap):
