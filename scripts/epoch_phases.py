@@ -10,13 +10,22 @@ a 50-iteration solve less that of a 10-iteration one, over 40, so the
 per-solve set-up and the plan cancel. ``epoch`` is a whole ``train`` with
 ``eval_every = 1`` divided by its epochs.
 
+The Newton rows time ``evaluate``'s solve, ``solve_ot`` to tolerance 1e-10
+from zero, at epsilon 0.1 and 0.01 on the same affinity:
+``tol_solve_eps<E>`` is the whole solve, and ``newton_step_eps<E>`` the
+share of one Newton step, the solve less one capped at a single step
+(``simca.sinkhorn.MAX_NEWTON_STEPS = 1``), over the steps past the first,
+so the set-up and the first iterate cancel. ``newton_steps_eps<E>`` is the
+solve's step count, not a time.
+
 Both sizes, n=300 and n=3000, run on the generator's reference instance
 (m=3, d=2, k=3, alpha=0.3, generator seed 7) at epsilon 0.1, with the
 items of a 50-epoch train (seed 0), so the plan and the potentials are
 those of a training run and the solve starts warm. Every phase is called ``--calls`` times at n=300
 (a tenth as often at n=3000), and the best of ``--best`` such timings
 counts; ``epoch`` trains for ``--calls``/5 epochs at n=300, best of
-``--best`` - 2. Each tree runs in ``--processes`` fresh processes,
+``--best`` - 2, and the Newton rows call their solves ``--calls``/5 times
+at n=300. Each tree runs in ``--processes`` fresh processes,
 alternating between the trees, and a phase's figure is the least over its
 processes. On a host whose speed drifts between processes, a difference of
 a few percent in one row is within that drift.
@@ -42,6 +51,7 @@ from pathlib import Path
 SIZES = (300, 3000)
 REFERENCE = dict(m=3, d=2, k=3, alpha=0.3, seed=7)
 EPSILON, ITERATIONS, WARM_EPOCHS = 0.1, 10, 50
+NEWTON_EPSILONS, NEWTON_TOL = (0.1, 0.01), 1e-10
 
 
 def best_us(call, calls: int, best: int) -> float:
@@ -97,6 +107,29 @@ def phases(n: int, calls: int, best: int) -> dict[str, float]:
     epochs = max(1, calls // 5)
     whole = TrainConfig(epsilon=EPSILON, sinkhorn_iters=ITERATIONS, epochs=epochs, eval_every=1)
     out["epoch"] = round(best_us(lambda: train(ds, whole), 1, max(1, best - 2)) / epochs, 2)
+    out.update(newton_phases(affinity, caps, max(1, calls // 5), best))
+    return out
+
+
+def newton_phases(affinity, caps, calls: int, best: int) -> dict[str, float]:
+    """µs per tolerance solve and per Newton step at each of ``NEWTON_EPSILONS``."""
+    import simca.sinkhorn
+    from simca.sinkhorn import extend_with_slack, solve_ot
+
+    out = {}
+    for eps in NEWTON_EPSILONS:
+        inst = extend_with_slack(affinity, caps, eps)
+        steps = solve_ot(inst, tol=NEWTON_TOL).iterations
+        solve = best_us(lambda: solve_ot(inst, tol=NEWTON_TOL), calls, best)
+        cap = simca.sinkhorn.MAX_NEWTON_STEPS
+        simca.sinkhorn.MAX_NEWTON_STEPS = 1
+        try:
+            first = best_us(lambda: solve_ot(inst, tol=NEWTON_TOL), calls, best)
+        finally:
+            simca.sinkhorn.MAX_NEWTON_STEPS = cap
+        out[f"tol_solve_eps{eps}"] = solve
+        out[f"newton_step_eps{eps}"] = round((solve - first) / max(1, steps - 1), 2)
+        out[f"newton_steps_eps{eps}"] = steps
     return out
 
 

@@ -27,13 +27,18 @@ to 128; halves above), an item's sum over the users one user after another
 maxima and sums are numpy's ufunc reductions called directly, with no
 wrapper in between. So the Sinkhorn loop keeps every bit of the plain loop's
 output. Each solve builds its own kernel, which allocates the solve's
-buffers once: the (m, n+1) scratch array, both potentials and every
-log-sum-exp's shift, sum and output. Both half-steps (``_scale``) write
-every ufunc's output into them, so an iteration allocates nothing. The
-start is copied in, and the result owns its coupling and potentials, so a
-warm-started chain of solves never writes into an earlier result. A
-solve's marginal error is computed from its plan when read, so a
-fixed-budget solve, whose caller never reads it, skips it.
+buffers once: the (m, n+1) scratch array, both potentials, every
+log-sum-exp's shift, sum and output, and the marginal error's terms. Both
+half-steps (``_scale``) write every ufunc's output into them, so an
+iteration allocates nothing. A Newton solve also allocates its m x m
+Hessian, gradient and scaled plan once, and each trial writes its
+potential into the kernel's; what a trial still allocates is its coupling,
+which the result keeps, in the plain loop's (n+1, m) layout. The Hessian
+reads the coupling in that layout too: its product computed items-major
+rounds differently. The start is copied in, and the result owns its
+coupling and potentials, so a warm-started chain of solves never writes
+into an earlier result. A solve's marginal error is computed from its plan
+when read, so a fixed-budget solve, whose caller never reads it, skips it.
 
 When total capacity exceeds the number of users, the instance is extended
 with one virtual user row of zero affinity carrying the surplus mass, which
@@ -45,7 +50,6 @@ solve's potentials, which training and evaluation use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -190,7 +194,11 @@ class _LogKernel:
       its caller's array;
     - ``row_lse``, ``row_max`` and ``row_sum`` (n+1 each), and ``col_lse``,
       ``col_max`` and ``col_sum`` (m each): each log-sum-exp, its shift and
-      its sum; and ``log_r`` and ``log_c``, the logs of the masses.
+      its sum; and ``log_r`` and ``log_c``, the logs of the masses;
+    - ``terms`` (n+1+m), one scratch per user (``user_terms``) and one per
+      item (``item_terms``) for the marginal error's terms in ``coupling``,
+      so that a single maximum gives the error, and for a Newton solve's
+      rounding and damping terms.
 
     ``_scale`` runs the half-steps on these buffers, every ufunc writing
     into them through a positional ``out``, so an iteration allocates
@@ -212,7 +220,9 @@ class _LogKernel:
 
     ``plan`` and ``coupling`` return a fresh C-contiguous (n+1, m) array, so
     callers see the plain loop's layout and ``buf`` stays free for the next
-    call.
+    call. A Newton solve's Hessian needs the plan in that layout: its
+    ``pi.T @ (pi / r)`` and the items-major ``P @ (P / r).T`` are the same
+    product, but BLAS rounds them differently.
 
     A result owns its coupling and potentials: the coupling is ``plan``'s
     fresh array, and ``log_a`` and ``log_b`` are the kernel's own (or, for
@@ -233,6 +243,8 @@ class _LogKernel:
         self.log_b = np.zeros(m) if log_b is None else np.array(log_b, np.float64)
         self.row_lse, self.row_max, self.row_sum = np.empty((3, users))
         self.col_lse, self.col_max, self.col_sum = np.empty((3, m))
+        self.terms = np.empty(users + m)
+        self.user_terms, self.item_terms = self.terms[:users], self.terms[users:]
 
     def plan(self, log_a, log_b) -> np.ndarray:
         """The product-form coupling, a fresh C-contiguous (n+1, m) array;
@@ -242,12 +254,14 @@ class _LogKernel:
         return np.exp(buf, out=buf).T.copy()
 
     def coupling(self, log_a, log_b) -> tuple[np.ndarray, np.ndarray, float]:
-        """The ``plan``, its column sums and its exact marginal error."""
+        """The ``plan``, its column sums and its exact marginal error, the
+        largest of the row and column errors, which go into ``terms``."""
         pi = self.plan(log_a, log_b)
-        row_err = np.maximum.reduce(np.abs(_sum_over_items(self.buf, self.row_sum) - self.inst.row_masses))
+        np.subtract(_sum_over_items(self.buf, self.row_sum), self.inst.row_masses, self.user_terms)
         col_sums = _sum_over_users(self.buf).copy()
-        col_err = np.maximum.reduce(np.abs(col_sums - self.inst.col_masses))
-        return pi, col_sums, float(max(row_err, col_err))
+        np.subtract(col_sums, self.inst.col_masses, self.item_terms)
+        terms = self.terms
+        return pi, col_sums, float(np.maximum.reduce(np.abs(terms, terms)))
 
 
 # numpy sums a contiguous run pairwise: one by one below 8 values, as its
@@ -353,15 +367,6 @@ _VALUE_ROUNDING = 1e-14
 MAX_NEWTON_STEPS = 10_000
 
 
-class _Iterate(NamedTuple):
-    log_b: np.ndarray
-    coupling: np.ndarray
-    col_sums: np.ndarray
-    error: float
-    value: float
-    rounding: float
-
-
 def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     """Damped Newton descent on the negated semi-dual
 
@@ -387,55 +392,85 @@ def _newton(inst: OtInstance, tol: float, log_b) -> SinkhornResult:
     G's drop is below its own rounding; a step is then taken when it lowers
     the exact marginal error. When no halving is taken either way, the solve
     stops at once, unconverged.
+
+    The solve allocates its buffers once, next to its kernel's: the m x m
+    Hessian and a view of its diagonal, the gradient and its negation, and
+    an (n+1, m) array for ``pi / r``; the kernel's ``user_terms`` and
+    ``item_terms`` take the rounding and damping terms. Each trial writes
+    ``b + t * direction`` into the kernel's ``log_b``, where the row
+    half-step reads it; a taken trial is copied into the solve's own
+    ``here_b``, which the result keeps, and only then is its value's
+    rounding computed. The Hessian is built in place as ``-(pi^T (pi / r))``
+    plus the column sums on the diagonal, plus ``1/m``, plus the damping on
+    the diagonal: the bits of ``diag(colsum pi) - pi^T (pi / r) + 1/m``, as
+    ``a + (-b)`` is ``a - b`` and ``0 - x`` is ``-x`` but for the sign of a
+    zero, which adding ``1/m`` drops. The dot products of two vectors are
+    ``ndarray.dot``, the BLAS dot that ``@`` calls too, at less overhead. A
+    trial still allocates its coupling, which the result and the Hessian
+    read in the plain loop's layout (see ``_LogKernel``).
     """
     kernel = _LogKernel(inst, log_b)
     r, c = inst.row_masses, inst.col_masses
-    log_a, lse = kernel.log_a, kernel.row_lse
+    log_a, lse, trial_b = kernel.log_a, kernel.row_lse, kernel.log_b
+    user_terms, item_terms = kernel.user_terms, kernel.item_terms
     m = len(c)
+    r_col, damping = r[:, None], min(inst.epsilon, 1.0)
+    scaled = np.empty(kernel.buf.shape[::-1])
+    hess = np.empty((m, m))
+    diagonal = hess.reshape(-1)[::m + 1]
+    grad, rhs = np.empty((2, m))
+    add, subtract, multiply, divide, negative = np.add, np.subtract, np.multiply, np.divide, np.negative
+    absolute, matmul, largest = np.abs, np.matmul, np.maximum.reduce
 
-    def row_step(log_b):
-        """The row half-step at ``log_b``, into the kernel's ``log_a`` and ``row_lse``."""
-        np.copyto(kernel.log_b, log_b)
-        _scale(kernel, 1)
+    def value_rounding() -> float:
+        """The value's rounding at the iterate whose row half-step ran last."""
+        return _VALUE_ROUNDING * (r.dot(absolute(lse, user_terms)) + c.dot(absolute(trial_b, item_terms)))
 
-    def iterate(log_b) -> _Iterate:
-        row_step(log_b)
-        pi, col_sums, error = kernel.coupling(log_a, log_b)
-        rounding = _VALUE_ROUNDING * (r @ np.abs(lse) + c @ np.abs(log_b))
-        return _Iterate(log_b, pi, col_sums, error, r @ lse - c @ log_b, rounding)
-
-    # each iterate owns its log_b; the kernel's holds a copy for the row half-step
-    here = iterate(kernel.log_b.copy())
+    # the current iterate's log_b; the kernel's is the trial's, which the
+    # row half-step reads
+    here_b = trial_b.copy()
+    _scale(kernel, 1)
+    pi, col_sums, error = kernel.coupling(log_a, trial_b)
+    value, rounding = r.dot(lse) - c.dot(trial_b), value_rounding()
     steps = 0
-    while here.error > tol and steps < MAX_NEWTON_STEPS:
-        grad = here.col_sums - c
-        pi = here.coupling
-        hess = np.diag(here.col_sums) - pi.T @ (pi / r[:, None]) + 1.0 / m
-        hess[np.diag_indices(m)] += min(inst.epsilon, 1.0) * np.maximum.reduce(np.abs(grad))
+    while error > tol and steps < MAX_NEWTON_STEPS:
+        subtract(col_sums, c, grad)
+        # diag(col_sums) - pi^T (pi / r) + 1/m, bit for bit (see above)
+        matmul(pi.T, divide(pi, r_col, scaled), hess)
+        negative(hess, hess)
+        add(diagonal, col_sums, diagonal)
+        add(hess, 1.0 / m, hess)
+        add(diagonal, damping * largest(absolute(grad, item_terms)), diagonal)
         try:
-            direction = np.linalg.solve(hess, -grad)
+            direction = np.linalg.solve(hess, negative(grad, rhs))
         except np.linalg.LinAlgError:
             break
-        slope = grad @ direction
+        slope = grad.dot(direction)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = iterate(here.log_b + t * direction)
-            drop = here.value - trial.value
-            if drop > here.rounding:
+            add(here_b, multiply(direction, t, trial_b), trial_b)
+            _scale(kernel, 1)
+            trial_pi, trial_sums, trial_error = kernel.coupling(log_a, trial_b)
+            trial_value = r.dot(lse) - c.dot(trial_b)
+            drop = value - trial_value
+            if drop > rounding:
                 taken = drop >= -_ARMIJO * t * slope
             else:
-                taken = drop >= -here.rounding and trial.error < here.error
+                taken = drop >= -rounding and trial_error < error
             if taken:
                 break
             t /= 2
         else:
             # the kernel's log_a is the last trial's: recompute the current one's
-            row_step(here.log_b)
+            np.copyto(trial_b, here_b)
+            _scale(kernel, 1)
             break
-        here = trial
+        pi, col_sums, error, value = trial_pi, trial_sums, trial_error, trial_value
+        np.copyto(here_b, trial_b)
+        rounding = value_rounding()
         steps += 1
-    return SinkhornResult(coupling=here.coupling, log_a=log_a, log_b=here.log_b,
-                          iterations=steps, converged=here.error <= tol, inst=inst)
+    return SinkhornResult(coupling=pi, log_a=log_a, log_b=here_b,
+                          iterations=steps, converged=error <= tol, inst=inst)
 
 
 def entropy(pi) -> float:

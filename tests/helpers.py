@@ -104,6 +104,59 @@ def reference_solve_ot(
     )
 
 
+def reference_newton(inst, tol, log_b_init=None) -> SinkhornResult:
+    """Oracle for ``simca.sinkhorn.solve_ot`` in tolerance mode: the damped
+    Newton loop of ``simca.sinkhorn._newton`` written plainly on the
+    (n+1, m) layout, one ``_logsumexp`` per row half-step and fresh arrays
+    for every iterate, trial and Hessian. It matches ``solve_ot(inst,
+    tol=tol, log_b_init=log_b_init)`` bit for bit."""
+    log_k = inst.affinity / inst.epsilon
+    r, c = inst.row_masses, inst.col_masses
+    log_r = np.log(r)
+    m = len(c)
+
+    def iterate(log_b):
+        lse = _logsumexp(log_k + log_b[None, :], axis=1)
+        log_a = log_r - lse
+        pi = np.exp(log_a[:, None] + log_k + log_b[None, :])
+        col_sums = pi.sum(axis=0)
+        row_err = np.max(np.abs(pi.sum(axis=1) - r))
+        col_err = np.max(np.abs(col_sums - c))
+        return dict(log_a=log_a, log_b=log_b, pi=pi, col_sums=col_sums,
+                    error=float(max(row_err, col_err)), value=r @ lse - c @ log_b,
+                    rounding=1e-14 * (r @ np.abs(lse) + c @ np.abs(log_b)))
+
+    here = iterate(np.zeros(m) if log_b_init is None else np.array(log_b_init, np.float64))
+    steps = 0
+    while here["error"] > tol and steps < 10_000:
+        grad = here["col_sums"] - c
+        pi = here["pi"]
+        hess = np.diag(here["col_sums"]) - pi.T @ (pi / r[:, None]) + 1.0 / m
+        hess[np.diag_indices(m)] += min(inst.epsilon, 1.0) * np.max(np.abs(grad))
+        try:
+            direction = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        slope = grad @ direction
+        t = 1.0
+        for _ in range(40):
+            trial = iterate(here["log_b"] + t * direction)
+            drop = here["value"] - trial["value"]
+            if drop > here["rounding"]:
+                taken = drop >= -1e-4 * t * slope
+            else:
+                taken = drop >= -here["rounding"] and trial["error"] < here["error"]
+            if taken:
+                break
+            t /= 2
+        else:
+            break
+        here = trial
+        steps += 1
+    return SinkhornResult(coupling=here["pi"], log_a=here["log_a"], log_b=here["log_b"],
+                          iterations=steps, converged=here["error"] <= tol, inst=inst)
+
+
 def converged_coupling(affinity, caps, epsilon, tol=1e-12):
     """Tolerance-mode transport solve, returning the full (slack-extended) result."""
     inst = extend_with_slack(affinity, caps, epsilon)

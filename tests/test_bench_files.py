@@ -40,6 +40,12 @@ def test_the_phase_timer_times_every_phase_of_an_epoch():
     # one call per phase, in this process: the script's own run spawns a
     # process per tree and takes minutes
     figures = epoch_phases.phases(300, calls=1, best=1)
+    newton = {f"{row}_eps{eps}" for row in ("tol_solve", "newton_step", "newton_steps")
+              for eps in (0.1, 0.01)}
     assert set(figures) == {"affinity", "extend_with_slack", "solve_ot", "loss", "gradient", "lap",
-                            "f1_scores", "embed_dist", "adam", "sinkhorn_iteration", "epoch"}
-    assert all(figures[name] > 0 for name in figures if name != "sinkhorn_iteration")
+                            "f1_scores", "embed_dist", "adam", "sinkhorn_iteration",
+                            "epoch"} | newton
+    differences = {"sinkhorn_iteration", "newton_step_eps0.1", "newton_step_eps0.01"}
+    assert all(figures[name] > 0 for name in figures if name not in differences)
+    # the Newton rows solve the n=300 instance in several steps at both epsilons
+    assert figures["newton_steps_eps0.1"] >= 2 and figures["newton_steps_eps0.01"] >= 2

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import simca.sinkhorn
-from helpers import projected_gradient_ot, reference_solve_ot
+from helpers import projected_gradient_ot, reference_newton, reference_solve_ot
 from simca.datagen import GenConfig, generate_dataset
 from simca.model import compute_affinity
 from simca.sinkhorn import entropy, extend_with_slack, ot_value, solve_ot
@@ -377,6 +377,35 @@ def test_tolerance_mode_agrees_with_reference_loop(case, tol, reference_cap):
                    reference_solve_ot(inst, tol=tol, max_iterations=reference_cap,
                                       log_b_init=log_b_init),
                    inst, tol)
+
+
+@st.composite
+def newton_cases(draw):
+    """Instances for the bit-level Newton oracle: every summation branch of
+    the kernel's row sums (m below 8, at 8 and past it, and m = 1, whose
+    column sums run pairwise), with and without a slack row, at epsilon
+    from 1e-3 to 10, so both branches of the damping run."""
+    m = draw(st.sampled_from([1, 2, 3, 7, 8, 30]))
+    extra = draw(st.integers(1, 6)) if draw(st.booleans()) else 0  # slack row
+    n = draw(st.integers(max(1, m - extra), m + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    caps = 1 + rng.multinomial(n + extra - m, np.full(m, 1.0 / m))
+    affinity = draw(st.sampled_from([0.0, 0.3, 1.0, 4.0])) * rng.normal(size=(n, m))
+    epsilon = float(np.exp(draw(st.floats(np.log(1e-3), np.log(10.0)))))
+    log_b_init = rng.normal(size=m) if draw(st.booleans()) else None
+    return extend_with_slack(affinity, caps, epsilon), log_b_init
+
+
+@settings(max_examples=200, deadline=None)
+@given(newton_cases(), st.sampled_from([1e-10, 0.0]))
+def test_tolerance_mode_matches_reference_newton_bit_for_bit(case, tol):
+    # an unreachable tolerance of 0.0 runs the line search until it stalls
+    inst, log_b_init = case
+    fast = solve_ot(inst, tol=tol, log_b_init=log_b_init)
+    slow = reference_newton(inst, tol, log_b_init)
+    for name in ("coupling", "log_a", "log_b"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
 
 
 def test_reference_loop_edge_stops(monkeypatch):
