@@ -8,7 +8,9 @@ rounding, ``f1_scores``, ``mean_embedding_distance`` and the Adam step.
 ``sinkhorn_iteration`` is the share of one Sinkhorn iteration: the time of
 a 50-iteration solve less that of a 10-iteration one, over 40, so the
 per-solve set-up and the plan cancel. ``epoch`` is a whole ``train`` with
-``eval_every = 1`` divided by its epochs.
+``eval_every = 1`` divided by its epochs. ``prices`` is not an epoch's:
+it times ``sorted_prices`` on the affinity at the learned items, the start
+``evaluate`` takes below ``simca.metrics.PRICE_START_BELOW``.
 
 The Newton rows time ``evaluate``'s solve, ``solve_ot`` to tolerance 1e-10
 from zero, at epsilon 0.1 and 0.01 on the same affinity:
@@ -67,7 +69,7 @@ def best_us(call, calls: int, best: int) -> float:
 
 def phases(n: int, calls: int, best: int) -> dict[str, float]:
     """µs per call of every phase at size ``n``, in this process's simca."""
-    from simca.assignment import round_coupling
+    from simca.assignment import round_coupling, sorted_prices
     from simca.datagen import GenConfig, generate_dataset
     from simca.metrics import f1_scores, mean_embedding_distance
     from simca.model import compute_affinity
@@ -97,6 +99,7 @@ def phases(n: int, calls: int, best: int) -> dict[str, float]:
         "loss": lambda: matched_cross_entropy(inst, result, sigma),
         "gradient": lambda: loss_gradient_items(users, sigma, pi, ds.alpha, EPSILON),
         "lap": lambda: round_coupling(pi, caps),
+        "prices": lambda: sorted_prices(affinity, caps),
         "f1_scores": lambda: f1_scores(sigma, predicted, ds.n_items),
         "embed_dist": lambda: mean_embedding_distance(items, ds.items_truth),
         "adam": lambda: adam_step(items, grad, state, lr),

@@ -4,11 +4,11 @@
 For each generated instance (the exact assignment that ``generate_dataset``
 computes), the script times ``round_coupling``, which clears over-full items
 in bulk before the rounds, against the path without the clearing: the
-sorted phase, then the rounds of ``_drain_excess``. It checks that both
-return the same bytes and prints one JSON document: each instance's time
-ratio (clearing path over rounds path, the least of several alternating
-calls each), and the median and worst ratio of every (n, m) group and of all
-instances.
+row argmax and ``_sort_excess``, then the rounds of ``_drain_excess``. It
+checks that both return the same bytes and prints one JSON document: each
+instance's time ratio (clearing path over rounds path, the least of several
+alternating calls each), and the median and worst ratio of every (n, m)
+group and of all instances.
 
     python3 scripts/lap_survey.py [--seeds 12] [--repeats 11]
 
@@ -28,16 +28,23 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from simca.assignment import _drain_excess, _sorted_phase, round_coupling  # noqa: E402
+from simca.assignment import _drain_excess, _sort_excess, round_coupling  # noqa: E402
 from simca.datagen import GenConfig, generate_dataset  # noqa: E402
 from simca.model import compute_affinity  # noqa: E402
 
 SIZES = [(1000, 3), (3000, 3), (3000, 10), (1000, 30)]
 
 
+def sorted_start(M, caps):
+    """The row argmax, its item counts and its item prices after the sort."""
+    assign = M.argmax(axis=1)
+    counts = np.bincount(assign, minlength=len(caps))
+    return assign, counts, _sort_excess(M, caps, assign, counts)
+
+
 def rounds_path(M, caps):
-    """The LAP without the clearing: the sorted phase, then the rounds."""
-    assign, counts, prices = _sorted_phase(M, caps)
+    """The LAP without the clearing: the sort, then the rounds."""
+    assign, counts, prices = sorted_start(M, caps)
     if np.any(counts > caps):
         assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
     return assign
@@ -56,7 +63,7 @@ def survey(seeds: int, repeats: int) -> dict:
             ds = generate_dataset(GenConfig(n=n, m=m, seed=seed))
             M = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
             caps = ds.capacities
-            _, counts, _ = _sorted_phase(M, caps)
+            _, counts, _ = sorted_start(M, caps)
             times = {"clearing": [], "rounds": []}
             matchings = {}
             for r in range(repeats):

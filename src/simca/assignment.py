@@ -19,7 +19,7 @@ capacity keeps it and moves every user below that price to its best other
 item, in one numpy pass over the item's users. The rounds finish exactly
 from its state. Its result stands only when a check of strict
 complementary slackness shows it to be the unique optimum, so the rounds
-from the sorted phase would return the same bytes; on ties, degenerate
+from the sort's state would return the same bytes; on ties, degenerate
 optima or keys near 2**53 the check fails and those rounds run instead. So
 the rounds alone break ties: on fully tied inputs the result is the
 lexicographically smallest assignment vector, as for the brute-force
@@ -33,10 +33,9 @@ which training and evaluation call on every plan they round; it checks
 nothing and requires a finite float64 (n, m) matrix and an int64 vector of
 m nonnegative capacities that hold the n users. NaN scores would keep its
 excess drain from ending. ``sorted_prices`` takes the same inputs and runs
-only the row argmax, the sort and one clearing step that prices the sort's
-source: the item prices of the exact assignment when the sort settles every
-excess, from which ``evaluate`` starts its transport solve at small
-epsilon.
+only the row argmax and one clearing step on its most over-full item: the
+item prices of the exact assignment when that step settles every excess,
+from which ``evaluate`` starts its transport solve at small epsilon.
 """
 from __future__ import annotations
 
@@ -90,18 +89,19 @@ def round_coupling(coupling, caps) -> np.ndarray:
 
     Three phases, each keeping every user on an item maximizing
     M[u, j] - prices[j] and a positive price only on an item at or over
-    capacity. The row argmax and the sort run in ``_sorted_phase``, which
-    ``sorted_prices`` shares. When they leave excess, ``_clear_excess``
-    raises the prices of over-full items in bulk, and the rounds of
-    ``_drain_excess`` move what excess it leaves, from its prices.
-    ``_certify`` then checks that every user beats its second-best item by
-    more than rounding, which makes the matching the unique optimum. When
-    the check fails, or the clearing settles nothing, the rounds run from
-    the sorted phase instead. The sort costs O(n*m + n*log n), a clearing
-    step O(n*m) for at most 8*m steps, the check O(n*m) and each round left
-    O(m^2 * log n).
+    capacity. ``_sort_excess`` moves what excess of the row argmax it can.
+    When it leaves excess, ``_clear_excess`` raises the prices of over-full
+    items in bulk, and the rounds of ``_drain_excess`` move what excess it
+    leaves, from its prices. ``_certify`` then checks that every user beats
+    its second-best item by more than rounding, which makes the matching
+    the unique optimum. When the check fails, or the clearing settles
+    nothing, the rounds run from the sort's state instead. The sort costs
+    O(n*m + n*log n), a clearing step O(n*m) for at most 8*m steps, the
+    check O(n*m) and each round left O(m^2 * log n).
     """
-    assign, counts, prices = _sorted_phase(coupling, caps)
+    assign = coupling.argmax(axis=1)
+    counts = np.bincount(assign, minlength=len(caps))
+    prices = _sort_excess(coupling, caps, assign, counts) if (counts > caps).any() else None
     if not (counts > caps).any():
         return assign
     scores = np.ascontiguousarray(coupling.T)  # items-major: one row per item
@@ -116,44 +116,35 @@ def round_coupling(coupling, caps) -> np.ndarray:
 
 
 def sorted_prices(M, caps) -> np.ndarray | None:
-    """Item prices of the exact assignment of ``M``'s rows when the sorted
-    phase alone settles the row argmax, else None.
+    """Item prices of the exact assignment of ``M``'s rows when one
+    ``_clear_step`` on the row argmax's most over-full item settles every
+    excess, else None.
 
-    Takes the inputs ``round_coupling`` takes and never runs the rounds of
-    ``_drain_excess``: O(n*m + n*log n). When the row argmax fits the
-    capacities every price is zero. Otherwise the phase settles only by
-    emptying the excess of its one source s, every other item keeping price
-    0. Then every price of s from the last key the sort moved up to the
-    least margin of the users s keeps is a dual optimum: each user sits on
+    Takes the inputs ``round_coupling`` takes and runs neither the sort nor
+    the rounds: O(n*m). When the row argmax fits the capacities every price
+    is zero. Otherwise the step settles only when s is the one item over
+    capacity and the users it moves fit in the room of the others, every
+    other item keeping price 0. Then every price of s from the largest
+    margin M[u, s] - max_{k != s} M[u, k] of the users who leave s up to
+    the least margin of those it keeps is a dual optimum: each user sits on
     an item maximizing M[u, j] - prices[j], and only the full item s has a
-    positive price. A ``_clear_step`` on the exactly full s, which moves no
-    one, prices it midway between the two: there ``epsilon * -log_b[s]`` of
-    the entropic plan tends as epsilon -> 0 when one moved and one kept user
-    share the margin, each leaking as much mass across it as the other. It
-    keeps the last key when s has no capacity or the two ends are one float
-    or adjacent floats. ``evaluate`` starts its transport solve from these
-    prices at small epsilon; from the moved key itself, which leaves that
-    user split in half, small instances took more Newton steps than from
-    zero.
+    positive price. The step prices s midway between the two, the margins'
+    order statistics at s's capacity: there ``epsilon * -log_b[s]`` of the
+    entropic plan tends as epsilon -> 0 when one moved and one kept user
+    share the margin, each leaking as much mass across it as the other.
+    When s has no capacity, or the two ends are one float or adjacent
+    floats, the step moves no one and the result is None. ``evaluate``
+    starts its transport solve from these prices at small epsilon; from the
+    largest moved margin itself, which leaves that user split in half,
+    small instances took more Newton steps than from zero.
     """
-    assign, counts, prices = _sorted_phase(M, caps)
-    if (counts > caps).any():
-        return None
-    prices = np.array(prices)
-    s = np.argmax(prices)
-    if prices[s] > 0:
-        _clear_step(np.ascontiguousarray(M.T), caps, assign, counts, prices, s)
-    return prices
-
-
-def _sorted_phase(M, caps) -> tuple[np.ndarray, np.ndarray, list]:
-    """The row argmax, its item counts and its item prices after
-    ``_sort_excess`` moved what excess it can; zero prices when the argmax
-    fits the capacities."""
     assign = M.argmax(axis=1)
     counts = np.bincount(assign, minlength=len(caps))
-    prices = _sort_excess(M, caps, assign, counts) if (counts > caps).any() else [0.0] * len(caps)
-    return assign, counts, prices
+    prices = np.zeros(len(caps))
+    s = np.argmax(counts - caps)
+    if counts[s] > caps[s]:
+        _clear_step(np.ascontiguousarray(M.T), caps, assign, counts, prices, s)
+    return None if (counts > caps).any() else prices
 
 
 def _sort_excess(M, caps, assign, counts) -> list:
@@ -168,14 +159,18 @@ def _sort_excess(M, caps, assign, counts) -> list:
     keys are distinct and above the price each round has one choice: the
     least key left, which raises the price to it. The sort moves the users in
     that order, up to the first key two users share, and stops after the
-    move that empties a source's excess or fills an item with room, or before
-    a key at or below the price (p + (c - p) can land above c): ties, and
-    keys at the price, where an item with room settles among the sources, are
-    the rounds'. The sort compares the keys themselves; the rounds compare
-    them less the price, where two keys near 2**53 can round to one value, so
-    there the sort keeps the exact order and the rounds may not.
+    move that empties a source's excess or fills an item with room; it moves
+    no one when the least key is not above 0, where an item with room
+    settles among the sources. Ties are the rounds'. The sort compares the
+    keys themselves; the rounds compare them less the price, where two keys
+    near 2**53 can round to one value, so there the sort keeps the exact
+    order and the rounds may not.
     Moves users in ``assign`` and ``counts`` in place and returns the item
-    prices the rounds would hold, all zero outside the regime.
+    prices: the last key it moved on every source, 0 on every other item,
+    and all zero when it moves no one. The rounds' running price
+    p + (c - p) can land an ulp off that key c; c is as good a dual price:
+    every user then sits on an item maximizing M[u, j] - prices[j], as the
+    rounds and the clearing need.
     """
     m = len(caps)
     gap = counts - caps
@@ -202,22 +197,11 @@ def _sort_excess(M, caps, assign, counts) -> list:
             hits = np.flatnonzero((sources if source else dests) == i)
             if len(hits) >= left:
                 stop = min(stop, hits[left - 1] + 1)
-    costs = costs[:stop]
-    # the keys rise, so the moves go at once while each key lies above the
-    # price and p + (c - p) lands the price on it, the last key; from the
-    # first move where either fails, the rounds' own arithmetic carries on
-    last = np.concatenate(([0.0], costs[:-1]))
-    off = np.flatnonzero((costs <= last) | (last + (costs - last) != costs))
-    moves = off[0] if len(off) else stop
-    price = float(costs[moves - 1]) if moves else 0.0
-    for c in costs[moves:].tolist():
-        if c <= price:
-            break  # at the price, the destination would settle among the sources
-        price += c - price
-        moves += 1
-    assign[users[order[:moves]]] = dest[order[:moves]]
+    if not stop or costs[0] <= 0:
+        return [0.0] * m
+    assign[users[order[:stop]]] = dest[order[:stop]]
     counts[:] = np.bincount(assign, minlength=m)
-    return np.where(over, price, 0.0).tolist()
+    return np.where(over, costs[stop - 1], 0.0).tolist()
 
 
 def _clear_excess(scores, caps, assign, counts, prices) -> tuple[np.ndarray, np.ndarray, list] | None:

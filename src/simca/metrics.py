@@ -11,7 +11,7 @@ from .sinkhorn import extend_with_slack, matched_cross_entropy, solve_ot
 
 # marginal error at which evaluate's transport solve stops, within solve_ot's step cap
 EVAL_TOL = 1e-10
-# below this epsilon evaluate starts its solve from the LAP's sorted-phase prices
+# below this epsilon evaluate starts its solve from the prices of sorted_prices
 PRICE_START_BELOW = 0.005
 
 
@@ -71,14 +71,14 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
 
     The solve starts from zero, or, below ``PRICE_START_BELOW``, from
     ``-prices / epsilon``, where ``sorted_prices`` gives the exact
-    assignment's item prices whenever the LAP's sorted phase settles its row
-    argmax (O(n*m + n*log n), never the LAP's rounds). The solve's dual
-    ``epsilon * log_b`` tends to minus such prices as epsilon -> 0: on the
-    n=300 reference instance, with the items of five trains, the Newton
+    assignment's item prices whenever one clearing step of the LAP settles
+    its row argmax (O(n*m), never the LAP's sort or rounds). The solve's
+    dual ``epsilon * log_b`` tends to minus such prices as epsilon -> 0: on
+    the n=300 reference instance, with the items of five trains, the Newton
     steps at epsilon = 0.002 fell from 10-16 to 5-6. Near epsilon = 0.01 the
-    steps saved cost about what the sort does, so every solve from 0.005 up
-    keeps the zero start, as does one whose sorted phase does not settle, as
-    is usual at m >= 10.
+    steps saved cost about what finding the prices did when it took the
+    LAP's sort, so every solve from 0.005 up keeps the zero start, as does
+    one whose clearing step does not settle, as is usual at m >= 10.
 
     This is the entry check for the learned items: ``items_hat`` must be a
     finite (m, d) matrix. Finite items can still overflow the affinity, or

@@ -11,7 +11,6 @@ from simca import assignment
 from simca.assignment import (
     _drain_excess,
     _sort_excess,
-    _sorted_phase,
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
@@ -234,20 +233,22 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
     assert np.array_equal(sol.matching, [1, 2])
 
 
-def test_sort_stops_at_a_price_that_left_its_key():
-    # the first move prices item 0 at its tiny key; from there 1.5 + 2**-52 - 1.5 * 2**-52
-    # rounds to 1.5, so the second move lands the price one ulp above its key,
-    # on 1.5 + 2**-51: the third key equals it and stops the sort at the price
+def test_sort_moves_every_distinct_key_and_prices_at_the_last():
+    # the rounds' running price, 1.5 * 2**-52 + ((1.5 + 2**-52) - 1.5 * 2**-52),
+    # lands one ulp above the second key, on the third; the sort compares the
+    # keys themselves, moves all three, which fills item 1, and prices item 0
+    # at the last of them
     tiny = 1.5 * 2.0**-52
     M = np.zeros((4, 2))
     M[:, 0] = [tiny, 1.5 + 2.0**-52, 1.5 + 2.0**-51, 2.0]
     caps = np.array([1, 3])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=2)
+    assert tiny + (M[1, 0] - tiny) == M[2, 0]
     rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 2)
     prices = _sort_excess(M, caps, assign, counts)
-    assert prices[0].hex() == "0x1.8000000000002p+0" and prices[1] == 0.0
-    assert np.array_equal(assign, [1, 1, 0, 0]) and np.array_equal(counts, [2, 2])
+    assert prices == [M[2, 0], 0.0]
+    assert np.array_equal(assign, [1, 1, 1, 0]) and np.array_equal(counts, [1, 3])
     expected = brute_force_lap(M, caps).matching
     assert np.array_equal(expected, [1, 1, 1, 0])
     assert np.array_equal(round_coupling(M, caps), expected)
@@ -424,9 +425,17 @@ def test_large_generated_instance_sorts_two_over_full_items():
     assert solve_lap(affinity, ds.capacities).matching.tobytes() == rounds.tobytes()
 
 
+def _sorted(M, caps):
+    """The row argmax, its item counts and its item prices after
+    ``_sort_excess`` moved what excess it can."""
+    assign = np.argmax(M, axis=1)
+    counts = np.bincount(assign, minlength=len(caps))
+    return assign, counts, _sort_excess(M, caps, assign, counts)
+
+
 def _rounds_path(M, caps):
-    """The LAP without the clearing: the sorted phase, then the rounds."""
-    assign, counts, prices = _sorted_phase(M, caps)
+    """The LAP without the clearing: the sort, then the rounds."""
+    assign, counts, prices = _sorted(M, caps)
     if np.any(counts > caps):
         assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
     return assign
@@ -437,7 +446,7 @@ def test_clearing_settles_the_large_generated_instance_without_the_rounds(monkey
     # leaves 378 users over capacity on item 1; the clearing moves them all
     ds = generate_dataset(GenConfig(n=3000, m=3, seed=7))
     affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
-    _, counts, _ = _sorted_phase(affinity, ds.capacities)
+    _, counts, _ = _sorted(affinity, ds.capacities)
     assert np.array_equal(counts - ds.capacities, [-408, 378, 0])
     expected = _rounds_path(affinity, ds.capacities)
     calls = []
@@ -505,7 +514,7 @@ def excess_instances(draw, tied=False):
     caps = np.maximum(caps, 1)  # as a Dataset's: an item of capacity 0 is cleared by the rounds
     if draw(st.booleans()):
         caps[rng.choice(others)] += int(rng.integers(1, 4))  # slack
-    _, counts, _ = _sorted_phase(M, caps)
+    _, counts, _ = _sorted(M, caps)
     assume(np.any(counts > caps))
     return M, caps
 
@@ -639,6 +648,22 @@ def test_sorted_drain_over_several_items_matches_the_rounds_and_slot_expanded_or
     _sorted_drain_matches_the_rounds(*instance, several=True)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(favoured_instances(), favoured_instances(several=True)))
+def test_the_sort_leaves_every_user_on_a_best_item_at_its_prices(instance):
+    # the start the clearing and the rounds take from the sort: every user on
+    # an item maximizing M - prices, up to rounding, and a positive price only
+    # on an item at or over capacity
+    M, caps, _ = instance
+    assign, counts, prices = _sorted(M, caps)
+    prices = np.array(prices)
+    value = M - prices
+    users = np.arange(len(M))
+    assert np.all(value.max(axis=1) - value[users, assign] <= 1e-12 * (1 + np.abs(M).max()))
+    assert np.array_equal(counts, np.bincount(assign, minlength=len(caps)))
+    assert np.all(counts[prices > 0] >= caps[prices > 0])
+
+
 @st.composite
 def random_instances(draw):
     """Random scores and capacities that hold the users, with or without
@@ -655,8 +680,8 @@ def random_instances(draw):
                  random_instances()))
 def test_sorted_prices_are_none_or_a_dual_optimum_of_the_exact_matching(instance):
     # a price set is a dual optimum for every optimal matching: each user sits
-    # on an item maximizing M - prices, up to the rounding of the price's
-    # running sum, and a positive price sits only on a full item
+    # on an item maximizing M - prices, up to rounding, and a positive price
+    # sits only on a full item
     M, caps, _ = instance
     prices = sorted_prices(M, caps)
     if prices is None:
@@ -673,24 +698,24 @@ def test_sorted_prices_are_none_or_a_dual_optimum_of_the_exact_matching(instance
 @settings(max_examples=300, deadline=None)
 @given(favoured_instances())
 def test_sorted_prices_price_the_source_midway_across_its_dual_interval(instance):
-    # the dual optimum above also holds at the sort's price p of the source
-    # s itself; the start evaluate takes lies midway between p and the least
-    # margin c of the users s keeps, where a kept and a moved user leak as
-    # much mass across the margin as each other
+    # the dual optimum above holds at every price of the one over-full item
+    # s from the largest margin p of the users who leave it to the least
+    # margin c of those it keeps; the start evaluate takes lies midway
+    # between them, where a kept and a moved user leak as much mass across
+    # the margin as each other. A source of capacity 0 has no such interval
     M, caps, _ = instance
-    assign, counts, prices = _sorted_phase(M, caps)
-    if np.any(counts > caps):
-        return
-    s = int(np.argmax(prices))
-    p = prices[s]
-    kept = M[assign == s]
-    got = sorted_prices(M, caps)[s]
+    got = sorted_prices(M, caps)
+    assign = M.argmax(axis=1)
+    s = int(np.argmax(np.bincount(assign, minlength=len(caps)) - caps))
     if caps[s] == 0:
-        assert got == p
+        assert got is None
         return
-    c = np.min(kept[:, s] - np.delete(kept, s, axis=1).max(axis=1))
-    if p < (p + c) / 2 < c:
-        assert got == (p + c) / 2
+    users = M[assign == s]
+    margins = np.sort(users[:, s] - np.delete(users, s, axis=1).max(axis=1))
+    p, c = margins[-caps[s] - 1], margins[-caps[s]]
+    if got is None or not p < p / 2 + c / 2 < c:
+        return
+    assert got[s] == p / 2 + c / 2 and not np.any(np.delete(got, s))
 
 
 @st.composite
@@ -730,7 +755,7 @@ def test_fully_tied_unequal_caps_give_lexicographic_smallest():
             M = np.full((n, 3), 0.25)
             expected = brute_force_lap(M, caps).matching
             assert np.array_equal(solve_lap(M, caps).matching, expected), (caps, n)
-            cleared += np.any(_sorted_phase(M, caps)[1] > caps)
+            cleared += np.any(_sorted(M, caps)[1] > caps)
     assert cleared == 192
     # the cascade through every item, spelled out
     assert np.array_equal(solve_lap(np.zeros((6, 3)), [1, 2, 3]).matching, [0, 1, 1, 2, 2, 2])

@@ -43,7 +43,7 @@ def test_the_phase_timer_times_every_phase_of_an_epoch():
     newton = {f"{row}_eps{eps}" for row in ("tol_solve", "newton_step", "newton_steps")
               for eps in (0.1, 0.01)}
     assert set(figures) == {"affinity", "extend_with_slack", "solve_ot", "loss", "gradient", "lap",
-                            "f1_scores", "embed_dist", "adam", "sinkhorn_iteration",
+                            "prices", "f1_scores", "embed_dist", "adam", "sinkhorn_iteration",
                             "epoch"} | newton
     differences = {"sinkhorn_iteration", "newton_step_eps0.1", "newton_step_eps0.01"}
     assert all(figures[name] > 0 for name in figures if name not in differences)
