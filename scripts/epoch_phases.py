@@ -96,7 +96,7 @@ def phases(n: int, calls: int, best: int) -> dict[str, float]:
         "affinity": lambda: compute_affinity(users, items, ds.distances, ds.alpha),
         "extend_with_slack": lambda: extend_with_slack(affinity, caps, EPSILON),
         "solve_ot": solve(ITERATIONS),
-        "loss": lambda: matched_cross_entropy(inst, result, sigma),
+        "loss": lambda: matched_cross_entropy(result, sigma),
         "gradient": lambda: loss_gradient_items(users, sigma, pi, ds.alpha, EPSILON),
         "lap": lambda: round_coupling(pi, caps),
         "prices": lambda: sorted_prices(affinity, caps),

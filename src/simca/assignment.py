@@ -17,14 +17,16 @@ the users of one item as "similar persons" (Bertsekas & Castanon 1989):
 each step raises the price of the most over-full item until only its
 capacity keeps it and moves every user below that price to its best other
 item, in one numpy pass over the item's users. The rounds finish exactly
-from its state. Its result stands only when a check of strict
-complementary slackness shows it to be the unique optimum, so the rounds
+from its state. Its result stands only when a check shows it to be the
+unique optimum: every cycle of moves between the items, and every path of
+moves into an item with room, loses more than rounding, by Floyd-Warshall
+over the m x m array of each item pair's cheapest move. Then the rounds
 from the sort's state would return the same bytes; on ties, degenerate
 optima or keys near 2**53 the check fails and those rounds run instead. So
 the rounds alone break ties: on fully tied inputs the result is the
 lexicographically smallest assignment vector, as for the brute-force
 oracle. The clearing takes O(n*m) per step for at most 8*m steps and the
-check O(n*m); each round left takes O(m^2 * log n), after heaps of
+check O(n*m + m^3); each round left takes O(m^2 * log n), after heaps of
 O(n*m*log n).
 
 ``solve_lap`` is the checked entry: it checks the scores and capacities,
@@ -39,7 +41,6 @@ from which ``evaluate`` starts its transport solve at small epsilon.
 """
 from __future__ import annotations
 
-import graphlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -92,12 +93,13 @@ def round_coupling(coupling, caps) -> np.ndarray:
     capacity. ``_sort_excess`` moves what excess of the row argmax it can.
     When it leaves excess, ``_clear_excess`` raises the prices of over-full
     items in bulk, and the rounds of ``_drain_excess`` move what excess it
-    leaves, from its prices. ``_certify`` then checks that every user beats
-    its second-best item by more than rounding, which makes the matching
-    the unique optimum. When the check fails, or the clearing settles
-    nothing, the rounds run from the sort's state instead. The sort costs
-    O(n*m + n*log n), a clearing step O(n*m) for at most 8*m steps, the
-    check O(n*m) and each round left O(m^2 * log n).
+    leaves, from its prices. ``_certify`` then checks, from the matching
+    alone, that no cycle or path of moves between the items loses at most
+    rounding, which makes the matching the unique optimum. When the check
+    fails, or the clearing settles nothing, the rounds run from the sort's
+    state instead. The sort costs O(n*m + n*log n), a clearing step O(n*m)
+    for at most 8*m steps, the check O(n*m + m^3) and each round left
+    O(m^2 * log n).
     """
     assign = coupling.argmax(axis=1)
     counts = np.bincount(assign, minlength=len(caps))
@@ -110,7 +112,7 @@ def round_coupling(coupling, caps) -> np.ndarray:
         matching, left, cleared_prices = cleared
         if np.any(left > caps):
             matching = _drain_excess(coupling, caps.tolist(), matching, left.tolist(), cleared_prices)
-        if _certify(scores, caps, matching, np.array(cleared_prices)):
+        if _certify(scores, caps, matching):
             return matching
     return _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
 
@@ -270,57 +272,39 @@ def _clear_step(scores, caps, assign, counts, prices, j) -> bool:
     return True
 
 
-def _certify(scores, caps, assign, prices) -> bool:
-    """Whether ``assign`` is the unique optimum, shown by prices that meet
-    complementary slackness strictly.
+def _certify(scores, caps, assign) -> bool:
+    """Whether ``assign`` is the unique optimum: every cycle of moves, and
+    every path of moves into an item with room, loses more than rounding.
 
-    ``prices`` must be a dual optimum up to rounding, as the clearing and
-    the rounds leave them; the rounds leave each user they moved last
-    indifferent between two items. A user on item i tied with item k comes
-    to prefer i when a ``_clear_step`` lifts k's price midway to the least
-    margin of k's own users, so the items that tied users point to are
-    lifted, each after every item its own tied users point to. Then every
-    user must beat its second-best M[u, k] - prices[k] by more than the
-    rounding of either value, and a positive price sit only on a full item.
-    A cycle of ties or a tie with an item that has room leaves another
-    optimum possible: False. ``scores`` is the (m, n) transpose of M.
-    Raises ``prices`` in place.
+    A move takes one user u from its item i to item k and loses
+    M[u, i] - M[u, k]; cheapest[i, k] is the least such loss over the users
+    on i, +inf when i holds no one or k == i. Every other feasible matching
+    differs from ``assign`` by simple cycles of moves, which keep the
+    counts, and simple paths that end on an item with room, each with at
+    most one user per item; the matching is the unique optimum exactly when
+    each of them loses (Ahuja, Magnanti & Orlin 1993, ch. 9). Floyd-Warshall
+    turns cheapest into the least loss of every path, its diagonal into the
+    least loss of every cycle. A path of up to m moves sums m rounded
+    subtractions, each off by at most 2**-53 of a result below 2*max|M|,
+    with up to m - 1 rounded additions, each off by at most 2**-53 of a
+    partial sum below 2*m*max|M|: m**2 * 2**-52 * max|M| in all. So a loss
+    up to the floor m**2 * 2**-50 * max|M| may be a tie and fails the
+    check, as does a negative one. ``scores`` is the (m, n) transpose of M.
+    O(n*m + m**3).
     """
-    counts = np.bincount(assign, minlength=len(caps))
-    tied = _ties(scores, assign, prices)
-    if tied.any():
-        order = _lift_order(assign, tied, (counts == caps) & (caps > 0))
-        if order is None or not all(_clear_step(scores, caps, assign, counts, prices, k) for k in order):
-            return False
-        tied = _ties(scores, assign, prices)
-    positive = prices > 0
-    return not tied.any() and np.array_equal(counts[positive], caps[positive])
-
-
-def _ties(scores, assign, prices) -> np.ndarray:
-    """(m, n) mask of the items k != assign[u] whose M[u, k] - prices[k]
-    comes within rounding of the value of u's own item: within eight times
-    the error bound of one subtraction on the scale of M and the prices."""
-    value = scores - prices[:, None]
-    users = np.arange(scores.shape[1])
-    gap = value[assign, users] - value
-    gap[assign, users] = np.inf
-    return gap <= 2.0**-50 * (np.abs(scores).max() + prices.max())
-
-
-def _lift_order(assign, tied, liftable) -> list | None:
-    """The items that tied users point to, each after every item that its
-    own tied users point to; None on a cycle or an item it cannot lift."""
-    items, users = np.nonzero(tied)
-    arcs = set(zip(assign[users].tolist(), items.tolist()))
-    targets = {k for _, k in arcs}
-    if not all(liftable[k] for k in targets):
-        return None
-    try:
-        return list(graphlib.TopologicalSorter(
-            {k: {j for i, j in arcs if i == k} for k in targets}).static_order())
-    except graphlib.CycleError:
-        return None  # a cycle of ties
+    m, n = scores.shape
+    counts = np.bincount(assign, minlength=m)
+    held = np.flatnonzero(counts)
+    loss = scores.ravel().take(assign * n + np.arange(n)) - scores  # loss[k, u]: u's move to k
+    # each item's users side by side: a radix sort on the smallest key type
+    grouped = loss.take(np.argsort(assign.astype(np.min_scalar_type(m)), kind="stable"), axis=1)
+    cheapest = np.full((m, m), np.inf)
+    cheapest[held] = np.minimum.reduceat(grouped, (np.cumsum(counts) - counts)[held], axis=1).T
+    np.fill_diagonal(cheapest, np.inf)
+    for k in range(m):
+        np.minimum(cheapest, cheapest[:, k, None] + cheapest[k], out=cheapest)
+    floor = m * m * 2.0**-50 * np.abs(scores).max()
+    return bool(cheapest.diagonal().min() > floor and (cheapest[:, counts < caps] > floor).all())
 
 
 def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:

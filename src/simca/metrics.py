@@ -105,7 +105,7 @@ def evaluate(dataset: Dataset, items_hat, params: AffinityParams) -> EvalReport:
         f1_macro=macro,
         per_item_f1=[float(x) for x in per_item],
         mean_embed_dist=dist,
-        cross_entropy=matched_cross_entropy(inst, result, dataset.matching),
+        cross_entropy=matched_cross_entropy(result, dataset.matching),
         converged=result.converged,
         sinkhorn_iterations=result.iterations,
     )

@@ -505,12 +505,12 @@ def cross_entropy_loss(assign, coupling) -> float:
     return float(-np.log(matched).sum())
 
 
-def matched_cross_entropy(inst: OtInstance, result: SinkhornResult, assign) -> float:
+def matched_cross_entropy(result: SinkhornResult, assign) -> float:
     """``cross_entropy_loss`` of ``result``'s coupling, from its potentials.
 
     Takes log pi[i, assign[i]] as log_a[i] + M[i, assign[i]] / epsilon +
     log_b[assign[i]], the exponent of the product form, so a matched entry
     that underflows to 0 in the coupling (small epsilon) still scores finite.
     """
-    log_k = inst.affinity[np.arange(len(assign)), assign] / inst.epsilon
+    log_k = result.inst.affinity[np.arange(len(assign)), assign] / result.inst.epsilon
     return float(-np.add.reduce(result.log_a[:len(assign)] + log_k + result.log_b[assign]))

@@ -162,7 +162,7 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: list[np.ndarray],
         raise ValueError(f"training diverged at epoch {epoch}: {exc}") from None
     pi = result.user_coupling
 
-    loss = matched_cross_entropy(inst, result, sigma)
+    loss = matched_cross_entropy(result, sigma)
     grads = [loss_gradient_items(users, sigma, pi, config.alpha, config.epsilon)]
     if config.joint_users:
         grads.append(loss_gradient_users(items, sigma, pi, config.alpha, config.epsilon))

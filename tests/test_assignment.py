@@ -1,9 +1,10 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import slot_expanded_lap
@@ -460,11 +461,11 @@ def test_clearing_settles_the_large_generated_instance_without_the_rounds(monkey
     assert calls == []
 
 
-def test_clearing_leaves_the_rest_to_the_rounds_and_lifts_their_ties(monkeypatch):
+def test_clearing_leaves_the_rest_to_the_rounds_and_checks_their_matching(monkeypatch):
     # at n=300, m=10 the sort leaves 81 users over capacity and the clearing
     # 40; the rounds move those from its prices and leave the users of their
-    # last moves indifferent, so the check lifts the prices those users point
-    # to before it keeps the matching
+    # last moves indifferent under those prices, yet every cycle and room
+    # path of moves loses, so the check keeps the matching
     ds = generate_dataset(GenConfig(n=300, m=10, seed=2))
     affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
     expected = _rounds_path(affinity, ds.capacities)
@@ -474,16 +475,15 @@ def test_clearing_leaves_the_rest_to_the_rounds_and_lifts_their_ties(monkeypatch
         drains.append(sum(max(c - k, 0) for c, k in zip(counts, caps)))
         return _drain_excess(M, caps, assign, counts, prices)
 
-    def recorded(scores, caps, matching, prices):
-        checks.append(assignment._ties(scores, matching, prices).any())
-        checks.append(certify(scores, caps, matching, prices))
+    def recorded(scores, caps, matching):
+        checks.append(certify(scores, caps, matching))
         return checks[-1]
 
     certify = assignment._certify
     monkeypatch.setattr(assignment, "_drain_excess", counted)
     monkeypatch.setattr(assignment, "_certify", recorded)
     matching = round_coupling(affinity, ds.capacities)
-    assert drains == [40] and checks == [True, True]
+    assert drains == [40] and checks == [True]
     assert matching.tobytes() == expected.tobytes()
     assert matching.tobytes() == slot_expanded_lap(affinity, ds.capacities).tobytes()
 
@@ -559,6 +559,54 @@ def test_clearing_on_integer_tied_scores_returns_the_rounds_bytes(instance):
     assert matching.tobytes() == _rounds_path(M, caps).tobytes()
 
 
+@st.composite
+def tiny_instances(draw):
+    """Up to 6 users on up to 4 items, every matching enumerable: continuous,
+    integer-tied or decimal scores (multiples of 0.1, whose decimal ties
+    round apart or together in binary) at a scale from 1e-3 to 1e8; tight or
+    slack capacities, and up to m - 1 items of capacity 0."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "integer", "decimal"]))
+    if kind == "continuous":
+        M = rng.normal(size=(n, m))
+    elif kind == "integer":
+        M = rng.integers(-3, 4, size=(n, m)).astype(np.float64)
+    else:
+        M = rng.integers(-9, 10, size=(n, m)) / 10.0
+    M *= draw(st.sampled_from([1e-3, 1.0, 1e8]))
+    zero = draw(st.integers(0, m - 1))
+    caps = np.zeros(m, dtype=np.int64)
+    caps[zero:] = rng.multinomial(n + draw(st.integers(0, 2)), np.full(m - zero, 1.0 / (m - zero)))
+    return M, rng.permutation(caps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_instances())
+# 0.1 + 2.2 and 0.2 + 2.1 tie in decimals and round to one double: a tie.
+# The cycle that swaps the two users loses -0.1 + 0.10000000000000009, a
+# residue of rounding that a floor of 0 would take for a strict loss
+@example(instance=(np.array([[0.1, 0.2], [2.1, 2.2]]), np.array([1, 1])))
+def test_check_keeps_exactly_the_unique_optimum(instance):
+    # every feasible matching, valued exactly (fsum rounds the exact sum
+    # once, so it keeps the order of any two values that differ): the check
+    # keeps the optimum when it wins by a clear margin and nothing else
+    M, caps = instance
+    n, m = M.shape
+    scores = np.ascontiguousarray(M.T)
+    matchings = [np.array(x) for x in itertools.product(range(m), repeat=n)
+                 if np.all(np.bincount(x, minlength=m) <= caps)]
+    values = [math.fsum(M[np.arange(n), x].tolist()) for x in matchings]
+    best = max(values)
+    for x, value in zip(matchings, values):
+        if value < best or values.count(best) > 1:
+            assert not assignment._certify(scores, caps, x), (x, value, best)
+    runner_up = max((v for v in values if v < best), default=-math.inf)
+    if values.count(best) == 1 and best - runner_up > 1e-9 * np.abs(M).max():
+        assert assignment._certify(scores, caps, brute_force_lap(M, caps).matching)
+
+
 def test_clearing_falls_back_to_the_rounds_when_its_optimum_is_tied(monkeypatch):
     # item 0 holds all three users and has room for one; users 0 and 1 share
     # the key 1, so the sort moves no one. The clearing prices item 0 at 1.5,
@@ -571,8 +619,8 @@ def test_clearing_falls_back_to_the_rounds_when_its_optimum_is_tied(monkeypatch)
     certify = assignment._certify
     checks = []
 
-    def recorded(scores, caps, matching, prices):
-        checks.append((matching.tolist(), certify(scores, caps, matching, prices)))
+    def recorded(scores, caps, matching):
+        checks.append((matching.tolist(), certify(scores, caps, matching)))
         return checks[-1][1]
 
     monkeypatch.setattr(assignment, "_certify", recorded)

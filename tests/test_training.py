@@ -481,7 +481,7 @@ def test_loss_from_potentials_matches_the_coupling():
     inst = extend_with_slack(compute_affinity(users, rng.normal(size=(3, 2)), distances, 0.3),
                              caps, 0.2)
     for result in (solve_ot(inst, iterations=4), solve_ot(inst, tol=1e-10)):
-        assert matched_cross_entropy(inst, result, sigma) == \
+        assert matched_cross_entropy(result, sigma) == \
             pytest.approx(cross_entropy_loss(sigma, result.coupling), rel=1e-14)
 
 
@@ -514,7 +514,7 @@ def test_epoch_record_and_update_from_the_kernels(joint):
     micro, macro, _ = f1_scores(ds.matching, round_coupling(pi, ds.capacities), ds.n_items)
     expected = EpochRecord(
         epoch=0,
-        loss=matched_cross_entropy(inst, solved, ds.matching),
+        loss=matched_cross_entropy(solved, ds.matching),
         f1_micro=micro,
         f1_macro=macro,
         mean_embed_dist=mean_embedding_distance(items, ds.items_truth),
