@@ -7,10 +7,12 @@ matrices: ``users.csv``, ``distances.csv``, optional ``items_truth.csv`` and
 present; a generated bundle adds the other ``GenConfig`` fields, seed
 included, a record of how it was drawn that ``load_dataset`` does not read.
 A reader finds an optional file by its presence, so a writer removes it when
-the data is absent: ``write_matrix_csv`` of None does that. Result tables
-(``history.csv``, ``sweep.csv``) hold one row per record under a header
-of the record's field names. Reals are written with 17 significant digits so
-a reload reproduces the float64 values bit for bit. Every JSON file
+the data is absent: ``write_matrix_csv`` of None does that. That writer
+writes every matrix file a block of rows at a time, in bounded memory, with
+the bytes of ``np.savetxt(path, values, fmt="%.17g", delimiter=",")``.
+Result tables (``history.csv``, ``sweep.csv``) hold one row per record under
+a header of the record's field names. Reals are written with 17 significant
+digits so a reload reproduces the float64 values bit for bit. Every JSON file
 (``meta.json``, ``eval.json``, a CLI config) holds one object, written by
 ``write_json`` and read by ``read_json``.
 """
@@ -33,15 +35,31 @@ from .training import EpochRecord
 
 # 17 significant digits: enough for a float64 to reload bit for bit
 _FLOAT_FMT = "%.17g"
+# values formatted per write: bounds a block's tuple and text at any width
+_BLOCK_VALUES = 1 << 16
 
 
 def write_matrix_csv(path: Path, values: np.ndarray | None) -> None:
-    """Write ``values`` as a headerless CSV matrix; None means no data and
-    removes ``path``, so a reader never finds a file an earlier write left."""
+    """Write the 2-D ``values`` as a headerless CSV matrix; None means no data
+    and removes ``path``, so a reader never finds a file an earlier write left.
+
+    The bytes are ``np.savetxt``'s with ``fmt="%.17g"`` and ``delimiter=","``:
+    the same line format, applied once per block of rows to the block's values
+    in row-major order. Python floats and ints format under ``%.17g`` exactly
+    as numpy's scalars do, and the file is opened in text mode, as savetxt
+    opens it. Each block takes one ``%`` and one ``write``, not one per row,
+    and holds at most ``_BLOCK_VALUES`` values, so memory stays bounded."""
     if values is None:
         Path(path).unlink(missing_ok=True)
-    else:
-        np.savetxt(path, values, fmt=_FLOAT_FMT, delimiter=",")
+        return
+    values = np.asarray(values)
+    rows, cols = values.shape
+    line = ",".join([_FLOAT_FMT] * cols) + "\n"
+    step = max(1, _BLOCK_VALUES // max(cols, 1))
+    with open(path, "w") as fh:
+        for start in range(0, rows, step):
+            block = values[start:start + step]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:

@@ -1,10 +1,17 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import simca.bundle
 from simca.bundle import (
     SweepRow,
     load_dataset,
@@ -38,6 +45,49 @@ def test_writing_no_matrix_removes_the_file(tmp_path):
     assert not path.exists()
     write_matrix_csv(path, None)
     assert not path.exists()
+
+
+# the edge values of float64 and of int64: signed zero, the least subnormal,
+# near-extreme magnitudes, nan, infinities and integers past float64's 2**53
+_EDGE_FLOATS = [-0.0, 5e-324, 1.7e308, -1.7e308, math.nan, -math.nan, math.inf, -math.inf]
+_EDGE_INTS = [2**53, 2**53 + 1, 2**62 + 3, 2**63 - 1, -2**63, -(2**53) - 1]
+
+
+@st.composite
+def matrices(draw):
+    """A float64 or int64 matrix of 0 to 9 rows and 0 to 4 columns, laid out
+    C-contiguous, as a transpose or as a strided slice."""
+    if draw(st.booleans()):
+        dtype, elements = np.float64, st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+    else:
+        dtype = np.int64
+        elements = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_EDGE_INTS))
+    shape = (draw(st.integers(0, 9)), draw(st.integers(0, 4)))
+    values = draw(hnp.arrays(dtype, shape, elements=elements))
+    layout = draw(st.sampled_from(["c", "transpose", "strided"]))
+    if layout == "transpose":
+        values = np.ascontiguousarray(values.T).T
+    elif layout == "strided":
+        wide = np.zeros((2 * shape[0], 3 * shape[1]), dtype)
+        wide[::2, ::3] = values
+        values = wide[::2, ::3]
+    return values
+
+
+# a real-size block boundary: 3 rows past the first block of a 2-column matrix
+@example(values=np.arange(simca.bundle._BLOCK_VALUES + 6, dtype=np.float64).reshape(-1, 2) / 7,
+         block=None)
+@settings(max_examples=150, deadline=None)
+@given(values=matrices(), block=st.sampled_from([1, 2, 3, 7, None]))
+def test_matrix_csv_writes_the_bytes_of_savetxt(values, block):
+    # a small block makes a few rows span several writes; None keeps the real size
+    block = simca.bundle._BLOCK_VALUES if block is None else block
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(simca.bundle, "_BLOCK_VALUES", block):
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_matrix_csv(ours, values)
+        np.savetxt(theirs, values, fmt="%.17g", delimiter=",")
+        assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_matrix_csv_error_reports_line(tmp_path):
@@ -238,8 +288,9 @@ def test_sweep_malformed_row(tmp_path):
 
 
 def test_result_files_have_pinned_bytes(tmp_path):
-    # The exact on-disk text of history.csv, sweep.csv and eval.json:
-    # headers, 17-digit floats, nan, an empty error column and a quoted one.
+    # The exact on-disk text of history.csv, sweep.csv, two matrix files and
+    # eval.json: headers, 17-digit floats, nan, an empty error column and a
+    # quoted one.
     save_history([
         EpochRecord(epoch=0, loss=0.1, f1_micro=2 / 3, f1_macro=1.0,
                     mean_embed_dist=math.nan, grad_norm=12.5),
@@ -265,6 +316,13 @@ def test_result_files_have_pinned_bytes(tmp_path):
         b"0.84999999999999998,0.29999999999999999,\r\n"
         b'swap_rho,0.20000000000000001,1,456,nan,nan,nan,nan,"ValueError: boom, bad"\r\n'
     )
+    # matrix files: headerless rows of 17-digit reals, or of integers
+    write_matrix_csv(tmp_path / "reals.csv", np.array([[0.1, -0.0], [1e-20, 1 / 3]]))
+    assert (tmp_path / "reals.csv").read_bytes() == (
+        b"0.10000000000000001,-0\n9.9999999999999995e-21,0.33333333333333331\n"
+    )
+    write_matrix_csv(tmp_path / "ints.csv", np.array([[0, 2], [1, 0]], dtype=np.int64))
+    assert (tmp_path / "ints.csv").read_bytes() == b"0,2\n1,0\n"
     save_eval_report(EvalReport(f1_micro=0.9, f1_macro=2 / 3, per_item_f1=[1.0, 0.5],
                                 mean_embed_dist=None, cross_entropy=12.25,
                                 converged=False, sinkhorn_iterations=10_000),
