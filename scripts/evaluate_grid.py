@@ -12,18 +12,17 @@ and takes from a few Newton steps to dozens. Each line holds the cell,
 that reaches the loss print different lines. The committed hashes of
 ``scripts/output_sha256.sh`` cover only evaluates at epsilon >= 0.05.
 
-    python3 scripts/evaluate_grid.py [--tree LABEL=SRC ...]
+    python3 scripts/evaluate_grid.py [SRC]
 
-``--tree`` names a ``src`` directory holding ``simca`` (by default that of
-the checkout holding this script). Each tree runs in a fresh process. With
-one tree the script prints its 48 lines; with several it prints each tree's
-lines under a ``== LABEL`` heading and exits 1 unless all trees print the
-same lines. It uses numpy and simca only and takes a few seconds per tree.
+SRC is a ``src`` directory holding ``simca``, by default that of the
+checkout holding this script; the script fails, printing no line, unless
+the ``simca`` it imports lies under SRC. ``scripts/compare_trees.sh`` runs
+it on two checkouts and compares their lines. It uses numpy and simca only
+and takes a few seconds.
 """
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
@@ -56,26 +55,15 @@ def grid_lines(instances=INSTANCES, train_seeds=TRAIN_SEEDS, epochs=EPOCHS,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--tree", action="append", metavar="LABEL=SRC",
-                        help="a src directory holding simca, under a label (repeatable)")
-    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        sys.path.insert(0, args.worker)
-        print("\n".join(grid_lines()))
-        return 0
-    default = str(Path(__file__).resolve().parents[1] / "src")
-    trees = dict(tree.split("=", 1) for tree in args.tree or [f"this={default}"])
-    outputs = {}
-    for label, src in trees.items():
-        cmd = [sys.executable, __file__, "--worker", str(Path(src).resolve())]
-        outputs[label] = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    if len(outputs) == 1:
-        print(next(iter(outputs.values())), end="")
-        return 0
-    for label, out in outputs.items():
-        print(f"== {label}\n{out}", end="")
-    return 0 if len(set(outputs.values())) == 1 else 1
+    parser.add_argument("src", nargs="?", default=Path(__file__).resolve().parents[1] / "src",
+                        help="a src directory holding simca (default: this checkout's)")
+    src = Path(parser.parse_args(argv).src).resolve()
+    sys.path.insert(0, str(src))
+    import simca
+    if not Path(simca.__file__).resolve().is_relative_to(src):
+        sys.exit(f"no simca under {src}: imported {simca.__file__}")
+    print("\n".join(grid_lines()))
+    return 0
 
 
 if __name__ == "__main__":

@@ -230,14 +230,14 @@ def _clear_excess(scores, caps, assign, counts, prices) -> tuple[np.ndarray, np.
 
 
 def _clear_step(scores, caps, assign, counts, prices, j) -> bool:
-    """Raise the price of item j, at or over capacity, until only caps[j] of
-    its users keep it: one numpy pass over j's users.
+    """Raise the price of item j, over capacity, until only caps[j] of its
+    users keep it: one numpy pass over j's users.
 
     A user u of j keeps j while j's price stays below its margin
     M[u, j] - max_{k != j} (M[u, k] - prices[k]), so the new price lies
-    midway between the largest margin of the users who leave, or j's price
-    when none does, and the least margin of those who keep j; every user
-    below it moves to its best other item, the lowest-index one on ties.
+    midway between the largest margin of the users who leave and the least
+    margin of those who keep j; every user below it moves to its best other
+    item, the lowest-index one on ties.
     Every user then still sits on an item maximizing M - prices; j is
     exactly full and the other items only gain users, so a positive price
     still sits only on an item at or over capacity. ``scores`` is the (m, n)
@@ -255,11 +255,8 @@ def _clear_step(scores, caps, assign, counts, prices, j) -> bool:
     value[j] = -np.inf
     margin -= value.max(axis=0)
     leave = len(users) - caps[j]
-    if leave:
-        part = np.partition(margin, (leave - 1, leave))
-        low, high = part[leave - 1], part[leave]
-    else:
-        low, high = prices[j], margin.min()
+    part = np.partition(margin, (leave - 1, leave))
+    low, high = part[leave - 1], part[leave]
     price = low / 2 + high / 2
     if not low < price < high:
         return False  # a tie at the boundary: the rounds break it

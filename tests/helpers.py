@@ -1,5 +1,8 @@
-"""Shared test utilities: instance builders and independent oracles."""
+"""Shared test utilities: instance builders, independent oracles and a script loader."""
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -7,6 +10,19 @@ from scipy.optimize import linear_sum_assignment
 from simca.model import compute_affinity
 from simca.sinkhorn import SinkhornResult, extend_with_slack, solve_ot
 from simca.training import cross_entropy_loss, matching_with_slack
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path):
+    """The Python file at ``path``, relative to the repository root, imported
+    as a module named after the file: how the tests reach the scripts and the
+    benchmark, which are not packages."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_instance(rng, n, m, d, caps=None, slack=0):

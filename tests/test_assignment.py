@@ -520,13 +520,14 @@ def excess_instances(draw, tied=False):
 
 
 def _check_every_clearing_step(mp):
-    """Patch ``_clear_step`` so that after each step every user sits on an
-    item maximizing M - prices, up to rounding, the counts are the
-    matching's and a positive price sits only on an item at or over
-    capacity."""
+    """Patch ``_clear_step`` so that it is only called on an item over
+    capacity, and so that after each step every user sits on an item
+    maximizing M - prices, up to rounding, the counts are the matching's and
+    a positive price sits only on an item at or over capacity."""
     step = assignment._clear_step
 
     def checked(scores, caps, assign, counts, prices, j):
+        assert counts[j] > caps[j]
         moved = step(scores, caps, assign, counts, prices, j)
         value = scores.T - prices
         users = np.arange(len(assign))

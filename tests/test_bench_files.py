@@ -5,20 +5,16 @@ before and after numbers from one harness, and claims without numbers do
 not count. Each file names its harness, host, parent and change, notes how
 its runs were made, and holds them by workload.
 """
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT, load_module
+
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 TEXT_KEYS = ("harness", "host", "parent", "change", "note")
 
-_SCRIPT = ROOT / "scripts" / "epoch_phases.py"
-_spec = importlib.util.spec_from_file_location("epoch_phases", _SCRIPT)
-epoch_phases = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(epoch_phases)
+epoch_phases = load_module("scripts/epoch_phases.py")
 
 
 def test_the_repository_holds_bench_files():

@@ -1,12 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _SCRIPT)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+from helpers import load_module
+
+code_lines = load_module("scripts/code_lines.py")
 
 SAMPLE = '''"""Module docstring
 over two lines."""

@@ -1,12 +1,15 @@
 """The evaluate grid script, which prints the bits of small-epsilon solves."""
-import importlib.util
+import itertools
+import os
 import re
-from pathlib import Path
+import subprocess
+import sys
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "evaluate_grid.py"
-_spec = importlib.util.spec_from_file_location("evaluate_grid", _SCRIPT)
-evaluate_grid = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(evaluate_grid)
+import pytest
+
+from helpers import ROOT, load_module
+
+evaluate_grid = load_module("scripts/evaluate_grid.py")
 
 LINE = re.compile(r"n=(\d+) m=(\d+) gen_seed=(\d+) train_seed=(\d+) eps=(\S+) "
                   r"f1_micro=(\S+) cross_entropy=(\S+) steps=(\d+) converged=(True|False)")
@@ -36,3 +39,26 @@ def test_a_small_grid_prints_one_parsable_line_per_cell():
         assert int(steps) >= 1 and converged == "True"
     assert lines == evaluate_grid.grid_lines(instances=((60, 3, 7),), train_seeds=(0,), epochs=5,
                                              epsilons=(0.1, 0.002))
+
+
+def test_the_script_prints_the_48_cells_of_the_src_it_is_given():
+    out = subprocess.run([sys.executable, ROOT / "scripts" / "evaluate_grid.py", ROOT / "src"],
+                         check=True, capture_output=True, text=True).stdout
+    cells = itertools.product(evaluate_grid.INSTANCES, evaluate_grid.TRAIN_SEEDS,
+                              evaluate_grid.EPSILONS)
+    lines = out.splitlines()
+    assert len(lines) == 48
+    for line, ((n, m, gen_seed), seed, eps) in zip(lines, cells):
+        cell = LINE.fullmatch(line)
+        assert cell, line
+        assert cell.groups()[:5] == (str(n), str(m), str(gen_seed), str(seed), repr(eps))
+
+
+@pytest.mark.parametrize("script", ["evaluate_grid.py", "lap_digests.py"])
+def test_a_contract_script_fails_without_a_line_on_a_src_that_holds_no_simca(script, tmp_path):
+    # this checkout's simca is importable, but not from the src it is given
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, ROOT / "scripts" / script, tmp_path],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode != 0 and run.stdout == ""
+    assert f"no simca under {tmp_path.resolve()}" in run.stderr

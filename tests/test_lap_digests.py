@@ -1,14 +1,11 @@
 """The LAP digest script, which prints the bytes of round_coupling's matchings."""
-import importlib.util
 import re
-from pathlib import Path
 
 import numpy as np
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "lap_digests.py"
-_spec = importlib.util.spec_from_file_location("lap_digests", _SCRIPT)
-lap_digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(lap_digests)
+from helpers import load_module
+
+lap_digests = load_module("scripts/lap_digests.py")
 
 LINE = re.compile(r"(random seed=\d+ (continuous|integer|decimal) n=\d+ m=\d+"
                   r"|generation n=\d+ m=\d+ seed=\d+"

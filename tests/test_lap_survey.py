@@ -1,11 +1,7 @@
 """The LAP survey script, which compares the LAP's two paths on generated instances."""
-import importlib.util
-from pathlib import Path
+from helpers import load_module
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "lap_survey.py"
-_spec = importlib.util.spec_from_file_location("lap_survey", _SCRIPT)
-lap_survey = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(lap_survey)
+lap_survey = load_module("scripts/lap_survey.py")
 
 
 def test_one_seed_of_the_survey_returns_the_same_bytes_on_both_paths():

@@ -1,9 +1,7 @@
 import collections
 import dataclasses
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,8 @@ from hypothesis import strategies as st
 
 import simca.metrics
 import simca.training
-from helpers import converged_coupling, random_instance, reference_solve_ot, slack_extended_loss
+from helpers import (converged_coupling, load_module, random_instance, reference_solve_ot,
+                     slack_extended_loss)
 from simca.metrics import evaluate
 from simca.assignment import round_coupling
 from simca.cli import main
@@ -533,11 +532,7 @@ def test_epoch_record_and_update_from_the_kernels(joint):
 
 def _layer_functions():
     """The benchmark tracer's (module, name, span) bindings, read from perfbench."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYER_FUNCTIONS
+    return load_module("perfbench/tracing.py").LAYER_FUNCTIONS
 
 
 # train computes its loss with matched_cross_entropy, from the solve's
