@@ -2,13 +2,13 @@
 """Print a digest of ``round_coupling``'s matching on a seeded family of LAPs.
 
 The family holds two parts. ``RANDOM`` seeded random instances of up to 200
-users on up to 14 items whose row argmax leaves excess, so the sort, the
-clearing and the rounds all run: continuous, integer-tied and decimal
-scores (multiples of 0.25) at scales from 1e-3 to 1e8, tight and slack
-capacities, and items of capacity 0. Then, at each (n, m) of ``SIZES``,
-the generation LAP of ``generate_dataset`` for ``SEEDS`` seeds and, for
-each, the 10-iteration Sinkhorn plans of random items at two epsilons, the
-plans an early training epoch rounds. Each line holds the instance and the
+users on up to 14 items whose row argmax leaves excess, so the clearing and
+the rounds run: continuous, integer-tied and decimal scores (multiples of
+0.25) at scales from 1e-3 to 1e8, tight and slack capacities, and items of
+capacity 0. Then, at each (n, m) of ``SIZES``, the generation LAP of
+``generate_dataset`` for ``SEEDS`` seeds and, for each, the 10-iteration
+Sinkhorn plans of random items at two epsilons, the plans an early
+training epoch rounds. Each line holds the instance and the
 first 16 hex digits of the sha256 of the matching's bytes: two trees whose
 LAPs differ in any user's item print different lines.
 

@@ -3,9 +3,9 @@
 
 For each generated instance (the exact assignment that ``generate_dataset``
 computes), the script times ``round_coupling``, which clears over-full items
-in bulk before the rounds, against the path without the clearing: the
-row argmax and ``_sort_excess``, then the rounds of ``_drain_excess``. It
-checks that both return the same bytes and prints one JSON document: each
+in bulk before the rounds, against the path without the clearing: the row
+argmax, then the rounds of ``_drain_excess`` from zero prices. It checks
+that both return the same bytes and prints one JSON document: each
 instance's time ratio (clearing path over rounds path, the least of several
 alternating calls each), and the median and worst ratio of every (n, m)
 group and of all instances.
@@ -28,26 +28,19 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from simca.assignment import _drain_excess, _sort_excess, round_coupling  # noqa: E402
+from simca.assignment import _drain_excess, round_coupling  # noqa: E402
 from simca.datagen import GenConfig, generate_dataset  # noqa: E402
 from simca.model import compute_affinity  # noqa: E402
 
 SIZES = [(1000, 3), (3000, 3), (3000, 10), (1000, 30)]
 
 
-def sorted_start(M, caps):
-    """The row argmax, its item counts and its item prices after the sort."""
+def rounds_path(M, caps):
+    """The LAP without the clearing: the row argmax, then the rounds from
+    zero prices."""
     assign = M.argmax(axis=1)
     counts = np.bincount(assign, minlength=len(caps))
-    return assign, counts, _sort_excess(M, caps, assign, counts)
-
-
-def rounds_path(M, caps):
-    """The LAP without the clearing: the sort, then the rounds."""
-    assign, counts, prices = sorted_start(M, caps)
-    if np.any(counts > caps):
-        assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
-    return assign
+    return _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * len(caps))
 
 
 def timed(solve, M, caps):
@@ -63,7 +56,7 @@ def survey(seeds: int, repeats: int) -> dict:
             ds = generate_dataset(GenConfig(n=n, m=m, seed=seed))
             M = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
             caps = ds.capacities
-            _, counts, _ = sorted_start(M, caps)
+            counts = np.bincount(M.argmax(axis=1), minlength=len(caps))
             times = {"clearing": [], "rounds": []}
             matchings = {}
             for r in range(repeats):
@@ -74,7 +67,7 @@ def survey(seeds: int, repeats: int) -> dict:
                     times[name].append(t)
             rows.append({
                 "n": n, "m": m, "seed": seed,
-                "excess_after_sort": int(np.maximum(counts - caps, 0).sum()),
+                "argmax_excess": int(np.maximum(counts - caps, 0).sum()),
                 "same_bytes": matchings["clearing"].tobytes() == matchings["rounds"].tobytes(),
                 "rounds_ms": round(min(times["rounds"]) * 1e3, 3),
                 "clearing_ms": round(min(times["clearing"]) * 1e3, 3),

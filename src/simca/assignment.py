@@ -6,13 +6,7 @@ n unit-supply users and m items, solved as a min-cost flow over the items:
 every user starts on its best item, and successive shortest paths with m
 item prices move the excess of over-full items to items with free capacity.
 
-While every item is either over capacity or strictly below it, however
-many items are over, each shortest path is a single move out of an
-over-full item, so one sort of their users replaces those rounds until an
-over-full item reaches its capacity, a destination fills or two users share
-a key. Memory is O(n*m) and time O(n*m + n*log n) in that regime.
-
-What excess the sort leaves goes first to a clearing phase, which treats
+The excess of the row argmax goes first to a clearing phase, which treats
 the users of one item as "similar persons" (Bertsekas & Castanon 1989):
 each step raises the price of the most over-full item until only its
 capacity keeps it and moves every user below that price to its best other
@@ -21,13 +15,19 @@ from its state. Its result stands only when a check shows it to be the
 unique optimum: every cycle of moves between the items, and every path of
 moves into an item with room, loses more than rounding, by Floyd-Warshall
 over the m x m array of each item pair's cheapest move. Then the rounds
-from the sort's state would return the same bytes; on ties, degenerate
-optima or keys near 2**53 the check fails and those rounds run instead. So
-the rounds alone break ties: on fully tied inputs the result is the
-lexicographically smallest assignment vector, as for the brute-force
-oracle. The clearing takes O(n*m) per step for at most 8*m steps and the
-check O(n*m + m^3); each round left takes O(m^2 * log n), after heaps of
-O(n*m*log n).
+from the row argmax at zero prices would return the same bytes; on ties,
+degenerate optima or keys near 2**53 the check fails and those rounds run
+instead. So the rounds alone break ties: on fully tied inputs the result
+is the lexicographically smallest assignment vector, as for the
+brute-force oracle. The clearing takes O(n*m) per step for at most 8*m
+steps and the check O(n*m + m^3); each round takes O(m^2 * log n), after
+heaps of O(n*m*log n).
+
+While every item is either over capacity or strictly below it, the
+over-full items at one price and the others at 0, however many items are
+over, each shortest path is a single move out of an over-full item. Such a
+round compares the moves by their keys M[u, j] - M[u, k] themselves: near
+2**53, two keys less a price can round to one float.
 
 ``solve_lap`` is the checked entry: it checks the scores and capacities,
 calls the kernel and scores its matching. ``round_coupling`` is the kernel,
@@ -88,33 +88,30 @@ def round_coupling(coupling, caps) -> np.ndarray:
     transport solve, which the instance's range guard leaves finite, with
     the capacities of a checked ``Dataset``.
 
-    Three phases, each keeping every user on an item maximizing
-    M[u, j] - prices[j] and a positive price only on an item at or over
-    capacity. ``_sort_excess`` moves what excess of the row argmax it can.
-    When it leaves excess, ``_clear_excess`` raises the prices of over-full
-    items in bulk, and the rounds of ``_drain_excess`` move what excess it
-    leaves, from its prices. ``_certify`` then checks, from the matching
-    alone, that no cycle or path of moves between the items loses at most
-    rounding, which makes the matching the unique optimum. When the check
-    fails, or the clearing settles nothing, the rounds run from the sort's
-    state instead. The sort costs O(n*m + n*log n), a clearing step O(n*m)
-    for at most 8*m steps, the check O(n*m + m^3) and each round left
-    O(m^2 * log n).
+    Each phase keeps every user on an item maximizing M[u, j] - prices[j]
+    and a positive price only on an item at or over capacity. When the row
+    argmax leaves excess, ``_clear_excess`` raises the prices of over-full
+    items in bulk from zero, and the rounds of ``_drain_excess`` move what
+    excess it leaves, from its prices. ``_certify`` then checks, from the
+    matching alone, that no cycle or path of moves between the items loses
+    at most rounding, which makes the matching the unique optimum. When the
+    check fails, or the clearing settles nothing, the rounds run from the
+    row argmax at zero prices instead. A clearing step costs O(n*m) for at
+    most 8*m steps, the check O(n*m + m^3) and each round O(m^2 * log n).
     """
     assign = coupling.argmax(axis=1)
     counts = np.bincount(assign, minlength=len(caps))
-    prices = _sort_excess(coupling, caps, assign, counts) if (counts > caps).any() else None
     if not (counts > caps).any():
         return assign
     scores = np.ascontiguousarray(coupling.T)  # items-major: one row per item
-    cleared = _clear_excess(scores, caps, assign, counts, prices)
+    cleared = _clear_excess(scores, caps, assign, counts)
     if cleared is not None:
-        matching, left, cleared_prices = cleared
+        matching, left, prices = cleared
         if np.any(left > caps):
-            matching = _drain_excess(coupling, caps.tolist(), matching, left.tolist(), cleared_prices)
+            matching = _drain_excess(coupling, caps.tolist(), matching, left.tolist(), prices)
         if _certify(scores, caps, matching):
             return matching
-    return _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), prices)
+    return _drain_excess(coupling, caps.tolist(), assign, counts.tolist(), [0.0] * len(caps))
 
 
 def sorted_prices(M, caps) -> np.ndarray | None:
@@ -122,11 +119,11 @@ def sorted_prices(M, caps) -> np.ndarray | None:
     ``_clear_step`` on the row argmax's most over-full item settles every
     excess, else None.
 
-    Takes the inputs ``round_coupling`` takes and runs neither the sort nor
-    the rounds: O(n*m). When the row argmax fits the capacities every price
-    is zero. Otherwise the step settles only when s is the one item over
-    capacity and the users it moves fit in the room of the others, every
-    other item keeping price 0. Then every price of s from the largest
+    Takes the inputs ``round_coupling`` takes and runs no round: O(n*m).
+    When the row argmax fits the capacities every price is zero. Otherwise
+    the step settles only when s is the one item over capacity and the users
+    it moves fit in the room of the others, every other item keeping price
+    0. Then every price of s from the largest
     margin M[u, s] - max_{k != s} M[u, k] of the users who leave s up to
     the least margin of those it keeps is a dual optimum: each user sits on
     an item maximizing M[u, j] - prices[j], and only the full item s has a
@@ -149,74 +146,18 @@ def sorted_prices(M, caps) -> np.ndarray | None:
     return None if (counts > caps).any() else prices
 
 
-def _sort_excess(M, caps, assign, counts) -> list:
-    """The rounds of ``_drain_excess`` while every item is either over
-    capacity (a source) or strictly below it, as one sort.
-
-    Each such round settles every source at distance 0, so all sources share
-    one price, which rises by the round's distance, and every shortest path
-    is one move from a source s to an item k with room, at the key
-    M[u, s] - M[u, k] less that price. So each user u on a source leaves by
-    its cheapest key c_u, to its lowest-index cheapest item, and while the
-    keys are distinct and above the price each round has one choice: the
-    least key left, which raises the price to it. The sort moves the users in
-    that order, up to the first key two users share, and stops after the
-    move that empties a source's excess or fills an item with room; it moves
-    no one when the least key is not above 0, where an item with room
-    settles among the sources. Ties are the rounds'. The sort compares the
-    keys themselves; the rounds compare them less the price, where two keys
-    near 2**53 can round to one value, so there the sort keeps the exact
-    order and the rounds may not.
-    Moves users in ``assign`` and ``counts`` in place and returns the item
-    prices: the last key it moved on every source, 0 on every other item,
-    and all zero when it moves no one. The rounds' running price
-    p + (c - p) can land an ulp off that key c; c is as good a dual price:
-    every user then sits on an item maximizing M[u, j] - prices[j], as the
-    rounds and the clearing need.
-    """
-    m = len(caps)
-    gap = counts - caps
-    if not gap.all():
-        return [0.0] * m
-    over = gap > 0
-    room = np.flatnonzero(~over)
-    users = np.flatnonzero(over[assign])
-    home = assign[users]
-    rows = M[users]
-    line = np.arange(len(users))
-    keys = rows[line, home][:, None] - rows[:, room]
-    best = np.argmin(keys, axis=1)
-    cost = keys[line, best]
-    dest = room[best]
-    order = np.argsort(cost, kind="stable")
-    costs = cost[order]
-    shared = np.flatnonzero(costs[1:] == costs[:-1])  # the rounds break ties: stop before them
-    stop = min(gap[over].sum(), shared[0] if len(shared) else len(order))
-    # and after the move that empties a source's excess or fills a destination
-    sources, dests = home[order[:stop]], dest[order[:stop]]
-    for i, (source, left) in enumerate(zip(over.tolist(), np.abs(gap).tolist())):
-        if left <= stop:  # an item needs as many moves as it has excess or room left
-            hits = np.flatnonzero((sources if source else dests) == i)
-            if len(hits) >= left:
-                stop = min(stop, hits[left - 1] + 1)
-    if not stop or costs[0] <= 0:
-        return [0.0] * m
-    assign[users[order[:stop]]] = dest[order[:stop]]
-    counts[:] = np.bincount(assign, minlength=m)
-    return np.where(over, costs[stop - 1], 0.0).tolist()
-
-
-def _clear_excess(scores, caps, assign, counts, prices) -> tuple[np.ndarray, np.ndarray, list] | None:
-    """Copies of ``assign``, ``counts`` and ``prices`` after ``_clear_step``s
-    on the most over-full item, or None when they settle no excess.
+def _clear_excess(scores, caps, assign, counts) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """Copies of ``assign`` and ``counts``, and the item prices, after
+    ``_clear_step``s on the most over-full item from zero prices, or None
+    when they settle no excess.
 
     It stops at a tie, after 8*m steps, or after m steps in a row that settle
     no excess: their users only pass between full items, as when two items
     trade the same users back and forth. ``scores`` is the (m, n) transpose
     of M.
     """
-    assign, counts, prices = assign.copy(), counts.copy(), np.array(prices)
     m = len(caps)
+    assign, counts, prices = assign.copy(), counts.copy(), np.zeros(m)
     start = excess = np.maximum(counts - caps, 0).sum()
     steps = idle = 0
     while excess and steps < 8 * m and idle < m:
@@ -305,18 +246,26 @@ def _certify(scores, caps, assign) -> bool:
 
 
 def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
-    """Successive shortest paths over the items, from the row-argmax start
-    or from where ``_sort_excess`` or ``_clear_excess`` stopped, with its
-    prices.
+    """Successive shortest paths over the items, from the row argmax at
+    zero prices or from where ``_clear_excess`` stopped, with its prices.
 
     Every user sits on an item maximizing M[u, j] - prices[j]. Moving user u
     from j to k then has nonnegative reduced cost
     (M[u, j] - M[u, k]) - prices[j] + prices[k], and heap (j, k) keeps the
-    users of j ordered by the price-free part. Each round runs Dijkstra from
-    all over-full items at once, moves one user along every edge of the path
-    to the nearest item with free capacity, and raises the prices of the
-    items settled before it. Items with free capacity keep price 0, so
-    complementary slackness holds and the final matching is optimal.
+    users of j ordered by the price-free part, the key. Each round runs
+    Dijkstra from all over-full items at once, moves one user along every
+    edge of the path to the nearest item with free capacity, and raises the
+    prices of the items settled before it. Items with free capacity keep
+    price 0, so complementary slackness holds and the final matching is
+    optimal.
+
+    A round that starts with every item over capacity or strictly below it,
+    every over-full item at one price P and every other item at 0, is keyed:
+    its every path is one move out of an over-full item, at the reduced cost
+    key - P. It starts the over-full items at distance P and a move at its
+    key, so it compares the keys themselves: near 2**53 two keys less P can
+    round to one float. Its order is otherwise that of the reduced costs,
+    and the prices rise by the same float differences.
 
     Ties keep the lexicographic rule of the brute-force oracle on fully tied
     scores: a heap moves its highest user up to a larger item and its lowest
@@ -328,11 +277,8 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
     the users the item holds then; a user arriving on an item is pushed only
     into heaps already built. A round reads only the heaps of the items it
     settles before its target, so items that only receive users never sort.
-
-    While every item is either over capacity or strictly below it, however
-    many are over, the rounds up to the first shared key are one sort, which
-    ``_sort_excess`` runs first in O(n*m + n*log n); its tie order is this
-    function's. Each round left costs O(m^2 * log n).
+    Each round costs O(m^2 * log n). Moves users in ``assign`` and raises
+    ``prices`` in place.
     """
     m = len(caps)
     where = assign.tolist()
@@ -353,9 +299,13 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
         return heap[0][0]
 
     while True:
-        dist = [0.0 if counts[j] > caps[j] else math.inf for j in range(m)]
-        if min(dist) > 0.0:
-            break  # no item over capacity
+        over = [c > k for c, k in zip(counts, caps)]
+        if not any(over):
+            break
+        price = prices[over.index(True)]
+        keyed = all(c != k and p == (price if o else 0.0)
+                    for c, k, p, o in zip(counts, caps, prices, over))
+        dist = [(price if keyed else 0.0) if o else math.inf for o in over]
         pred = [-1] * m
         unsettled = list(range(m))
         settled = []
@@ -370,7 +320,7 @@ def _drain_excess(M, caps, assign, counts, prices) -> np.ndarray:
             for k in unsettled:
                 if counts[k] > caps[k]:
                     continue
-                d = dist[j] + cheapest(j, k) - prices[j] + prices[k]
+                d = cheapest(j, k) if keyed else dist[j] + cheapest(j, k) - prices[j] + prices[k]
                 if d <= dist[k]:
                     dist[k] = d
                     pred[k] = j

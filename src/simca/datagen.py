@@ -70,12 +70,17 @@ def generate_dataset(cfg: GenConfig) -> Dataset:
 
     centers = rng.normal(size=(k, d))
     user_clusters = rng.integers(0, k, size=n)
-    users = centers[user_clusters] + cfg.cluster_spread * rng.normal(size=(n, d))
-    # first k items anchor the clusters, the rest spread uniformly
-    item_clusters = np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)])
-    items = centers[item_clusters] + cfg.cluster_spread * rng.normal(size=(m, d))
-    users /= np.linalg.norm(users, axis=1, keepdims=True)
-    items /= np.linalg.norm(items, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a spread that overflows the norms fails below
+        users = centers[user_clusters] + cfg.cluster_spread * rng.normal(size=(n, d))
+        # first k items anchor the clusters, the rest spread uniformly
+        item_clusters = np.concatenate([np.arange(k), rng.integers(0, k, size=m - k)])
+        items = centers[item_clusters] + cfg.cluster_spread * rng.normal(size=(m, d))
+        norms = [np.linalg.norm(x, axis=1, keepdims=True) for x in (users, items)]
+    if not all(np.isfinite(norm).all() for norm in norms):
+        raise ValueError(f"cluster_spread={cfg.cluster_spread:g} overflows the norms of the "
+                         "drawn users and items")
+    users /= norms[0]
+    items /= norms[1]
 
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n + m)
     gap = np.abs(angles[:n, None] - angles[None, n:])

@@ -1,17 +1,17 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import slot_expanded_lap
+from helpers import load_module, slot_expanded_lap
 from simca import assignment
 from simca.assignment import (
     _drain_excess,
-    _sort_excess,
     brute_force_lap,
     count_feasible_matchings,
     round_coupling,
@@ -21,6 +21,8 @@ from simca.assignment import (
 from simca.datagen import GenConfig, generate_dataset
 from simca.model import compute_affinity
 from simca.sinkhorn import extend_with_slack, solve_ot
+
+lap_digests = load_module("scripts/lap_digests.py")
 
 
 def test_single_item_takes_everyone():
@@ -198,7 +200,7 @@ def test_matches_slot_expanded_oracle_on_generated_data(n):
         pi = _sinkhorn_coupling(ds, seed)
         expected = slot_expanded_lap(pi, ds.capacities)
         assert round_coupling(pi, ds.capacities).tobytes() == expected.tobytes()
-    # diffuse couplings put one item far over capacity: the sorted drain's regime
+    # diffuse couplings put one item far over capacity: the keyed rounds' regime
     for epsilon in (0.5, 1.0, 2.0):
         pi = _sinkhorn_coupling(ds, 0, epsilon)
         over = np.bincount(pi.argmax(axis=1), minlength=ds.n_items) - ds.capacities
@@ -208,15 +210,11 @@ def test_matches_slot_expanded_oracle_on_generated_data(n):
 
 
 def test_sorted_drain_stops_at_a_full_item_and_the_rounds_finish():
-    # item 0 holds all four users and has room for one; the sort first moves
-    # user 2 to item 1, which fills it, so the rounds place users 0 and 1
+    # item 0 holds all four users and has room for one; the first keyed round
+    # moves user 2 to item 1, which fills it, so the rounds that place users
+    # 0 and 1 compare reduced costs
     M = np.array([[5.0, 4.0, 0.0], [5.0, 3.5, 4.0], [5.0, 4.5, 1.0], [6.0, 0.0, 0.0]])
     caps = np.array([1, 1, 3])
-    assign = np.argmax(M, axis=1)
-    counts = np.bincount(assign, minlength=3)
-    prices = _sort_excess(M, caps, assign, counts)
-    assert np.array_equal(assign, [0, 0, 1, 0]) and np.array_equal(counts, [3, 1, 0])
-    assert prices == [0.5, 0.0, 0.0]
     expected = brute_force_lap(M, caps)
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, expected.matching)
@@ -224,8 +222,9 @@ def test_sorted_drain_stops_at_a_full_item_and_the_rounds_finish():
 
 
 def test_sorted_drain_orders_keys_that_round_together_after_the_price():
-    # after user 0 moves, j's price is 1; the keys 2**53 + 4 and 2**53 + 6 less
-    # that price round to one value, but the sort still sends user 1 to item 2
+    # after user 0 moves, item 0's price is 1; the keys 2**53 + 4 and
+    # 2**53 + 6 less that price round to one value, but the keyed round
+    # compares the keys themselves and sends user 1 to item 2
     big = 2.0**53
     M = np.array([[1.0, 0.0, -1e17], [0.0, -(big + 6), -(big + 4)]])
     caps = np.array([0, 2, 2])
@@ -234,11 +233,34 @@ def test_sorted_drain_orders_keys_that_round_together_after_the_price():
     assert np.array_equal(sol.matching, [1, 2])
 
 
-def test_sort_moves_every_distinct_key_and_prices_at_the_last():
+def test_keyed_rounds_order_keys_that_round_together_from_a_source_of_capacity_one(monkeypatch):
+    # item 0 holds all three users and keeps one. The clearing moves users 0
+    # and 1, but moving user 1 between items 1 and 2 loses only 2, under the
+    # check's floor, so the rounds run from the row argmax: user 0 leaves at
+    # the key 1, then the keyed round compares user 1's keys 2**53 + 6 and
+    # 2**53 + 4 themselves, which less the price 1 round to one value
+    big = 2.0**53
+    M = np.array([[1.0, 0.0, -1e17], [0.0, -(big + 6), -(big + 4)], [9.0, -1e17, -1e17]])
+    caps = np.array([1, 2, 2])
+    certify = assignment._certify
+    checks = []
+
+    def recorded(scores, caps, matching):
+        checks.append(certify(scores, caps, matching))
+        return checks[-1]
+
+    monkeypatch.setattr(assignment, "_certify", recorded)
+    expected = brute_force_lap(M, caps)
+    assert np.array_equal(expected.matching, [1, 2, 0])
+    assert np.array_equal(solve_lap(M, caps).matching, expected.matching)
+    assert checks == [False]
+
+
+def test_keyed_rounds_move_the_key_their_running_price_lands_on():
     # the rounds' running price, 1.5 * 2**-52 + ((1.5 + 2**-52) - 1.5 * 2**-52),
-    # lands one ulp above the second key, on the third; the sort compares the
-    # keys themselves, moves all three, which fills item 1, and prices item 0
-    # at the last of them
+    # lands one ulp above the second key, on the third; the keyed rounds keep
+    # that float price, move the third key at it, which fills item 1, and
+    # leave the first three users on item 1
     tiny = 1.5 * 2.0**-52
     M = np.zeros((4, 2))
     M[:, 0] = [tiny, 1.5 + 2.0**-52, 1.5 + 2.0**-51, 2.0]
@@ -246,10 +268,9 @@ def test_sort_moves_every_distinct_key_and_prices_at_the_last():
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=2)
     assert tiny + (M[1, 0] - tiny) == M[2, 0]
-    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 2)
-    prices = _sort_excess(M, caps, assign, counts)
+    prices = [0.0] * 2
+    rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
     assert prices == [M[2, 0], 0.0]
-    assert np.array_equal(assign, [1, 1, 1, 0]) and np.array_equal(counts, [1, 3])
     expected = brute_force_lap(M, caps).matching
     assert np.array_equal(expected, [1, 1, 1, 0])
     assert np.array_equal(round_coupling(M, caps), expected)
@@ -258,7 +279,7 @@ def test_sort_moves_every_distinct_key_and_prices_at_the_last():
 
 def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
     # item 3 holds no user and has no room, so it is neither over capacity nor
-    # below it, the sort does not apply and the rounds start. Round 1 moves
+    # below it and the rounds compare reduced costs. Round 1 moves
     # user 0 from item 0 to item 1, its target, which fills it; round 2
     # settles item 1 for the first time and builds its heaps from the users it
     # holds then, so user 0 passes on along 0 -> 1 -> 2 while user 1 takes its
@@ -268,9 +289,7 @@ def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
                   [5.0, 0.0, 0.0, -100.0]])
     caps = np.array([1, 1, 5, 0])
     assign = np.argmax(M, axis=1)
-    counts = np.bincount(assign, minlength=4)
-    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
-    assert np.array_equal(counts, [3, 0, 0, 0])
+    assert np.array_equal(np.bincount(assign, minlength=4), [3, 0, 0, 0])
     expected = brute_force_lap(M, caps)
     assert np.array_equal(expected.matching, [2, 1, 0])
     assert np.array_equal(slot_expanded_lap(M, caps), expected.matching)
@@ -281,9 +300,9 @@ def test_rounds_pass_on_a_user_that_arrived_before_its_item_heaps_were_built():
 
 @st.composite
 def round_instances(draw):
-    """Scores whose row argmax leaves the sort out: a last item with no room
-    and no user, so the rounds drain every excess and build each heap late;
-    continuous or integer-tied scores."""
+    """Scores whose row argmax leaves the keyed rounds out: a last item with
+    no room and no user, so the rounds drain every excess and build each
+    heap late; continuous or integer-tied scores."""
     n = draw(st.integers(2, 7))
     m = draw(st.integers(2, 4))
     tied = draw(st.booleans())
@@ -313,9 +332,9 @@ def test_rounds_alone_match_brute_force_and_slot_expanded_oracle(instance):
 
 def test_rounds_order_keys_that_round_together_with_two_items_over():
     # the row argmax puts users 0 and 1 on item 0 and user 2 on item 1, which
-    # have no room, while items 2 and 3 have room: the sort drains both
-    # over-full items and compares the keys 2**53 + 4 and 2**53 + 6 exactly,
-    # where the rounds would compare them less item 0's price of 1, as one
+    # have no room, while items 2 and 3 have room: the keyed rounds drain both
+    # over-full items and compare the keys 2**53 + 4 and 2**53 + 6 exactly,
+    # where reduced costs would compare them less item 0's price of 1, as one
     # value, and send user 1 to item 2, an objective lower by exactly 2
     big = 2.0**53
     M = np.array([[1.0, -1e17, 0.0, -1e17],
@@ -330,8 +349,8 @@ def test_rounds_order_keys_that_round_together_with_two_items_over():
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the Dijkstra rounds compare "
                    "float reduced costs, so keys near 2**53 round together")
 def test_rounds_order_keys_that_round_together_after_a_full_item():
-    # item 3 holds user 2 and is full, so the sort does not apply and the rounds
-    # drain item 0. Round 1 sends user 0 to item 1 and raises item 0's price to
+    # item 3 holds user 2 and is full, so the rounds that drain item 0 are not
+    # keyed. Round 1 sends user 0 to item 1 and raises item 0's price to
     # 1; round 2 compares user 1's keys 2**53 + 6 and 2**53 + 4 less that
     # price, which round to one value, so user 1 goes to the lower item 1 at an
     # objective lower by exactly 2
@@ -340,69 +359,77 @@ def test_rounds_order_keys_that_round_together_after_a_full_item():
                   [0.0, -(big + 6), -(big + 4), -1e17],
                   [-1e17, -1e17, -1e17, 0.0]])
     caps = np.array([0, 2, 2, 1])
-    assign = np.argmax(M, axis=1)
-    assert _sort_excess(M, caps, assign, np.bincount(assign, minlength=4)) == [0.0] * 4
     expected = brute_force_lap(M, caps)
     assert np.array_equal(expected.matching, [1, 2, 3])
     assert np.array_equal(solve_lap(M, caps).matching, expected.matching)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3(b): the LAP compares float sums, so a "
+                   "swap that raises the exact objective by 2**-52 ties with its matching")
+def test_no_swap_of_two_users_raises_the_exact_objective_of_a_generated_lap():
+    # the integer instance 7804 of lap_digests' family (n=35, m=13): users 18
+    # and 29 sit on items 12 and 9, and swapping them leaves the float sum of
+    # the scores as it is but raises their exact sum by 2**-52
+    kind, M, caps = lap_digests.random_instance(7804)
+    matching = round_coupling(M, caps)
+    assert (kind, M.shape, matching[18], matching[29]) == ("integer", (35, 13), 12, 9)
+    swapped = matching.copy()
+    swapped[[18, 29]] = 9, 12
+    users = np.arange(len(M))
+    assert M[users, swapped].sum() == M[users, matching].sum()
+    exact = [sum(map(Fraction, M[users, x].tolist())) for x in (matching, swapped)]
+    assert exact[1] <= exact[0]
+
+
 def test_sorted_drain_over_two_items_moves_equal_keys_in_settle_order():
     # items 0 and 3 are over capacity, items 1 and 2 have room, and every move
-    # costs 1, so the sort stops before the shared key and the rounds move all
-    # three users. Round 1 reaches item 1 from both sources at distance 1 and
-    # takes the last one settled: user 0 leaves item 3. The price is 1 now, so
-    # item 0 reaches item 1 at distance 0 and item 1 settles before item 3:
-    # user 1 leaves item 0, which ends its excess. Two users from item 3 first
-    # would be the wrong order.
+    # has the key 1. Round 1 reaches item 1 from both sources at 1 and takes
+    # the last one settled: user 0 leaves item 3. The price is 1 now, so item
+    # 0 reaches item 1 at the key 1, the sources' distance, and item 1
+    # settles before item 3: user 1 leaves item 0, which ends its excess. Two
+    # users from item 3 first would be the wrong order.
     M = np.array([[0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 1.0, 2.0], [0.0, 0.0, 0.0, 1.0]])
     caps = np.array([0, 2, 2, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
     assert np.array_equal(assign, [3, 0, 3])
-    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
-    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
-    assert np.array_equal(assign, [3, 0, 3]) and np.array_equal(counts, [1, 0, 0, 2])
+    rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * 4)
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 2, 1])
     assert sol.objective == brute_force_lap(M, caps).objective
 
 
 def test_sorted_drain_over_two_items_moves_a_key_above_the_price_through_the_last_source():
-    # items 2 and 3 are over capacity and both users on them cost 1 to move to
-    # item 0, which has room for one, so the sort stops before the shared key.
-    # Above the price, Dijkstra takes the last source that reached item 0, so
-    # user 1 leaves item 3, although item 2 ranks first among the sources;
-    # item 0 is full then, and the next round moves user 0.
+    # items 2 and 3 are over capacity and both users on them move to item 0,
+    # which has room for one, at the key 1, above the price 0. Dijkstra takes
+    # the last source that reached item 0, so user 1 leaves item 3, although
+    # item 2 ranks first among the sources; item 0 is full then, and the next
+    # round moves user 0.
     M = np.array([[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 1.0], [2.0, 1.0, 2.0, 0.0]])
     caps = np.array([2, 1, 0, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
     assert np.array_equal(assign, [2, 3, 0])
-    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
-    assert _sort_excess(M, caps, assign, counts) == [0.0] * 4
-    assert np.array_equal(assign, [2, 3, 0]) and np.array_equal(counts, [1, 0, 1, 1])
+    rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * 4)
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [0, 1, 0])
     assert sol.objective == brute_force_lap(M, caps).objective
 
 
 def test_sorted_drain_leaves_equal_keys_to_the_rounds_when_the_price_misses_them():
-    # user 3 leaves item 3 first, at the key 0.4 - 0.1 = 0.30000000000000004,
-    # which the sort moves alone. Users 0, 1 and 2 share the key 2.4, so the
-    # sort stops before them. The rounds move user 0 at that key, which raises
-    # the price to 0.30000000000000004 + (2.4 - 0.30000000000000004) =
-    # 2.3999999999999995; they then see users 1 and 2 at a small distance
-    # above 0, not at 0, and move user 2 from item 3 next.
+    # user 3 leaves item 3 first, at the key 0.4 - 0.1 = 0.30000000000000004.
+    # Users 0, 1 and 2 share the key 2.4; the rounds move user 0 at that key,
+    # which raises the price to 0.30000000000000004 + (2.4 -
+    # 0.30000000000000004) = 2.3999999999999995. They then see users 1 and 2
+    # at the key 2.4, a little above the price, not at it, and move user 2
+    # from item 3 next.
     M = np.array([[0.0, 0.0, 0.0, 2.4], [4.8, 2.4, 2.4, 4.8],
                   [0.0, 0.0, 0.0, 2.4], [0.0, -9.0, 0.1, 0.4]])
     caps = np.array([0, 2, 2, 0])
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=4)
-    rounds = _drain_excess(M, caps.tolist(), assign.copy(), counts.tolist(), [0.0] * 4)
+    rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * 4)
     price = 0.4 - 0.1
-    assert _sort_excess(M, caps, assign, counts) == [price, 0.0, 0.0, price]
-    assert np.array_equal(assign, [3, 0, 3, 2]) and np.array_equal(counts, [1, 0, 1, 2])
     assert price + (2.4 - price) < 2.4
     sol = solve_lap(M, caps)
     assert np.array_equal(sol.matching, rounds) and np.array_equal(rounds, [1, 1, 2, 2])
@@ -411,44 +438,33 @@ def test_sorted_drain_leaves_equal_keys_to_the_rounds_when_the_price_misses_them
 
 def test_large_generated_instance_sorts_two_over_full_items():
     # the n=3000 generation: the row argmax puts items 1 and 2 over capacity
-    # and leaves item 0 with room; the sort takes 829 of the rounds' moves
+    # and leaves item 0 with room, so the first rounds are keyed
     ds = generate_dataset(GenConfig(n=3000, seed=7))
     affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
     assign = np.argmax(affinity, axis=1)
     counts = np.bincount(assign, minlength=ds.n_items)
     assert np.array_equal(counts > ds.capacities, [False, True, True])
-    rounds = _drain_excess(affinity, ds.capacities.tolist(), assign.copy(), counts.tolist(),
+    rounds = _drain_excess(affinity, ds.capacities.tolist(), assign, counts.tolist(),
                            [0.0] * ds.n_items)
-    start = assign.copy()
-    _sort_excess(affinity, ds.capacities, assign, counts)
-    assert np.count_nonzero(assign != start) == 829
     assert ds.matching.tobytes() == rounds.tobytes()
     assert solve_lap(affinity, ds.capacities).matching.tobytes() == rounds.tobytes()
 
 
-def _sorted(M, caps):
-    """The row argmax, its item counts and its item prices after
-    ``_sort_excess`` moved what excess it can."""
+def _rounds_path(M, caps):
+    """The LAP without the clearing: the row argmax, then the rounds from
+    zero prices."""
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=len(caps))
-    return assign, counts, _sort_excess(M, caps, assign, counts)
-
-
-def _rounds_path(M, caps):
-    """The LAP without the clearing: the sort, then the rounds."""
-    assign, counts, prices = _sorted(M, caps)
-    if np.any(counts > caps):
-        assign = _drain_excess(M, caps.tolist(), assign, counts.tolist(), prices)
-    return assign
+    return _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * len(caps))
 
 
 def test_clearing_settles_the_large_generated_instance_without_the_rounds(monkeypatch):
-    # the n=3000 generation: the sort stops when item 2 is exactly full and
-    # leaves 378 users over capacity on item 1; the clearing moves them all
+    # the n=3000 generation: the row argmax leaves 879 users over capacity on
+    # item 1 and 328 on item 2; the clearing moves them all
     ds = generate_dataset(GenConfig(n=3000, m=3, seed=7))
     affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
-    _, counts, _ = _sorted(affinity, ds.capacities)
-    assert np.array_equal(counts - ds.capacities, [-408, 378, 0])
+    counts = np.bincount(affinity.argmax(axis=1), minlength=ds.n_items)
+    assert np.array_equal(counts - ds.capacities, [-1237, 879, 328])
     expected = _rounds_path(affinity, ds.capacities)
     calls = []
 
@@ -462,10 +478,10 @@ def test_clearing_settles_the_large_generated_instance_without_the_rounds(monkey
 
 
 def test_clearing_leaves_the_rest_to_the_rounds_and_checks_their_matching(monkeypatch):
-    # at n=300, m=10 the sort leaves 81 users over capacity and the clearing
-    # 40; the rounds move those from its prices and leave the users of their
-    # last moves indifferent under those prices, yet every cycle and room
-    # path of moves loses, so the check keeps the matching
+    # at n=300, m=10 the row argmax leaves 88 users over capacity and the
+    # clearing 7; the rounds move those from its prices and leave the users
+    # of their last moves indifferent under those prices, yet every cycle
+    # and room path of moves loses, so the check keeps the matching
     ds = generate_dataset(GenConfig(n=300, m=10, seed=2))
     affinity = compute_affinity(ds.users, ds.items_truth, ds.distances, ds.alpha)
     expected = _rounds_path(affinity, ds.capacities)
@@ -483,18 +499,18 @@ def test_clearing_leaves_the_rest_to_the_rounds_and_checks_their_matching(monkey
     monkeypatch.setattr(assignment, "_drain_excess", counted)
     monkeypatch.setattr(assignment, "_certify", recorded)
     matching = round_coupling(affinity, ds.capacities)
-    assert drains == [40] and checks == [True]
+    assert drains == [7] and checks == [True]
     assert matching.tobytes() == expected.tobytes()
     assert matching.tobytes() == slot_expanded_lap(affinity, ds.capacities).tobytes()
 
 
 @st.composite
 def excess_instances(draw, tied=False):
-    """Scores whose sorted phase leaves excess, so the clearing runs: favoured
+    """Scores whose row argmax leaves excess, so the clearing runs: favoured
     items over capacity, two or more from m = 3 on, and the excess spread as
     room over the other items, some of which stay exactly full and keep the
-    sort out; every capacity at least 1; float or, when ``tied``,
-    integer-tied scores; tight total capacity or slack."""
+    rounds from being keyed; every capacity at least 1; float or, when
+    ``tied``, integer-tied scores; tight total capacity or slack."""
     n = draw(st.integers(4, 200))
     m = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -514,8 +530,6 @@ def excess_instances(draw, tied=False):
     caps = np.maximum(caps, 1)  # as a Dataset's: an item of capacity 0 is cleared by the rounds
     if draw(st.booleans()):
         caps[rng.choice(others)] += int(rng.integers(1, 4))  # slack
-    _, counts, _ = _sorted(M, caps)
-    assume(np.any(counts > caps))
     return M, caps
 
 
@@ -609,12 +623,11 @@ def test_check_keeps_exactly_the_unique_optimum(instance):
 
 
 def test_clearing_falls_back_to_the_rounds_when_its_optimum_is_tied(monkeypatch):
-    # item 0 holds all three users and has room for one; users 0 and 1 share
-    # the key 1, so the sort moves no one. The clearing prices item 0 at 1.5,
-    # between the margins 1 and 2, and moves users 0 and 1 to item 1, then
-    # meets their equal margins there; the rounds finish with [0, 1, 2], an
-    # optimum of 3 tied with the rounds' own [1, 2, 0], so the check fails
-    # and the rounds run from the sorted phase
+    # item 0 holds all three users and has room for one. The clearing prices
+    # item 0 at 1.5, between the margins 1 and 2, and moves users 0 and 1 to
+    # item 1, then meets their equal margins there; the rounds finish with
+    # [0, 1, 2], an optimum of 3 tied with the rounds' own [1, 2, 0], so the
+    # check fails and the rounds run from the row argmax
     M = np.array([[2.0, 1.0, -2.0], [2.0, 1.0, 0.0], [2.0, -1.0, 0.0]])
     caps = np.array([1, 1, 1])
     certify = assignment._certify
@@ -668,16 +681,7 @@ def _sorted_drain_matches_the_rounds(M, caps, tied, several):
     assign = np.argmax(M, axis=1)
     counts = np.bincount(assign, minlength=m)
     assert (np.sum(counts > caps) > 1) == several
-    assert np.sum(counts > caps) + np.sum(counts < caps) == m
-    # no user the sort moves shares its cheapest key with another user of an
-    # over-full item: the rounds alone break ties
-    over = counts > caps
-    users = np.flatnonzero(over[assign])
-    keys = (M[users, assign[users]][:, None] - M[users][:, ~over]).min(axis=1)
-    moved = assign.copy()
-    _sort_excess(M, caps, moved, counts.copy())
-    for key in keys[moved[users] != assign[users]]:
-        assert np.count_nonzero(keys == key) == 1
+    assert np.sum(counts > caps) + np.sum(counts < caps) == m  # the first round is keyed
     rounds = _drain_excess(M, caps.tolist(), assign, counts.tolist(), [0.0] * m)
     matching = solve_lap(M, caps).matching
     assert matching.tobytes() == rounds.tobytes()
@@ -699,18 +703,22 @@ def test_sorted_drain_over_several_items_matches_the_rounds_and_slot_expanded_or
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(favoured_instances(), favoured_instances(several=True)))
-def test_the_sort_leaves_every_user_on_a_best_item_at_its_prices(instance):
-    # the start the clearing and the rounds take from the sort: every user on
-    # an item maximizing M - prices, up to rounding, and a positive price only
-    # on an item at or over capacity
+def test_the_rounds_leave_every_user_on_a_best_item_at_their_prices(instance):
+    # the keyed rounds compare keys but raise the prices by the float
+    # differences of reduced costs: at the end every user sits on an item
+    # maximizing M - prices, up to rounding, and a positive price only on a
+    # full item
     M, caps, _ = instance
-    assign, counts, prices = _sorted(M, caps)
+    assign = np.argmax(M, axis=1)
+    prices = [0.0] * len(caps)
+    _drain_excess(M, caps.tolist(), assign, np.bincount(assign, minlength=len(caps)).tolist(),
+                  prices)
     prices = np.array(prices)
     value = M - prices
     users = np.arange(len(M))
     assert np.all(value.max(axis=1) - value[users, assign] <= 1e-12 * (1 + np.abs(M).max()))
-    assert np.array_equal(counts, np.bincount(assign, minlength=len(caps)))
-    assert np.all(counts[prices > 0] >= caps[prices > 0])
+    counts = np.bincount(assign, minlength=len(caps))
+    assert np.all(counts <= caps) and np.all(counts[prices > 0] == caps[prices > 0])
 
 
 @st.composite
@@ -795,8 +803,8 @@ def test_integer_tied_scores_match_brute_force(instance):
 
 
 def test_fully_tied_unequal_caps_give_lexicographic_smallest():
-    # 192 of these 288 instances leave excess after the sort, so they reach
-    # the clearing, which must leave the rounds' order to stand
+    # the row argmax of 192 of these 288 instances leaves excess, so they
+    # reach the clearing, which must leave the rounds' order to stand
     cleared = 0
     for caps in itertools.product(range(4), repeat=3):
         caps = np.array(caps)
@@ -804,7 +812,7 @@ def test_fully_tied_unequal_caps_give_lexicographic_smallest():
             M = np.full((n, 3), 0.25)
             expected = brute_force_lap(M, caps).matching
             assert np.array_equal(solve_lap(M, caps).matching, expected), (caps, n)
-            cleared += np.any(_sorted(M, caps)[1] > caps)
+            cleared += np.any(np.bincount(M.argmax(axis=1), minlength=3) > caps)
     assert cleared == 192
     # the cascade through every item, spelled out
     assert np.array_equal(solve_lap(np.zeros((6, 3)), [1, 2, 3]).matching, [0, 1, 1, 2, 2, 2])

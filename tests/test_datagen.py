@@ -62,6 +62,21 @@ def test_gen_config_rejects_a_zero_cluster_spread():
         GenConfig(cluster_spread=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_cluster_spread_whose_draws_fit_the_norms_generates_clean():
+    ds = generate_dataset(GenConfig(n=20, cluster_spread=1e153, seed=0))
+    assert np.all(np.isfinite(ds.users)) and np.all(np.isfinite(ds.items_truth))
+    assert np.max(np.abs(np.linalg.norm(ds.users, axis=1) - 1.0)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spread", [1e155, 1e308])
+def test_a_cluster_spread_that_overflows_the_norms_is_refused_by_name(spread):
+    # 1e155 overflows the squares in the norm, 1e308 the draws themselves
+    with pytest.raises(ValueError, match="cluster_spread=1e\\+(155|308) overflows the norms"):
+        generate_dataset(GenConfig(n=20, cluster_spread=spread, seed=0))
+
+
 def test_generated_dataset_shapes_and_normalizations():
     cfg = GenConfig(n=80, m=4, d=3, k=2, alpha=0.3, seed=3, extra_spots_per_item=2)
     ds = generate_dataset(cfg)

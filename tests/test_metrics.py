@@ -209,8 +209,8 @@ def test_evaluate_starts_from_sorted_prices_only_below_the_threshold(m, seed, no
     # below PRICE_START_BELOW, where the sorted phase of the learned items'
     # affinity settles, the report is that of a solve started from
     # -prices / epsilon, bit for bit; otherwise it is the zero start's. Without
-    # spare capacity the row argmax overfills an item: at m = 2 the sort
-    # settles it with a positive price, at m >= 3 it leaves excess here
+    # spare capacity the row argmax overfills an item: at m = 2 one clearing
+    # step settles it with a positive price, at m >= 3 it leaves excess here
     ds = generate_dataset(GenConfig(n=40, m=m, k=2, extra_spots_per_item=0, seed=seed))
     items = ds.items_truth + noise * np.random.default_rng(seed).normal(size=ds.items_truth.shape)
     params = AffinityParams(alpha=ds.alpha, epsilon=epsilon)
